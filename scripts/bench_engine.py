@@ -88,7 +88,7 @@ def run_backend_compare(args, environment) -> dict:
     the relaxed tier (zero decision flips expected) before timing is trusted.
     """
     version = "with reserve price"
-    materialized = prepare(environment.model, environment.arrivals)
+    materialized = prepare(environment.model, environment.arrival_batch())
 
     def one_pass(backend):
         best = float("inf")
@@ -199,12 +199,15 @@ def main(argv=None) -> int:
     }
 
     if not args.skip_legacy:
+        # Build the row objects once, outside the timer: the legacy pass is
+        # timed on the same work as the engine pass, the replay alone.
+        arrivals = list(environment.arrivals)
         legacy_seconds = 0.0
         identical = True
         for version in versions:
             pricer = build_pricer_for_version(environment, version)
             start = time.perf_counter()
-            reference = simulate_reference(environment.model, pricer, environment.arrivals)
+            reference = simulate_reference(environment.model, pricer, arrivals)
             legacy_seconds += time.perf_counter() - start
             identical &= transcripts_identical(engine_results[version], reference)
         speedup = legacy_seconds / engine_seconds if engine_seconds > 0 else float("inf")

@@ -18,7 +18,7 @@ Reproduces the setup of Section V-B:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -26,11 +26,13 @@ from repro.apps.common import ALGORITHM_VERSIONS, AppEnvironment, run_versions
 from repro.core.ellipsoid import Ellipsoid
 from repro.core.models import LogLinearModel
 from repro.core.pricing import PricerConfig
-from repro.core.simulation import QueryArrival, SimulationResult
+from repro.core.simulation import SimulationResult
 from repro.datasets.listings import generate_listings
+from repro.engine import ArrivalBatch
 from repro.learning.encoding import ListingFeaturizer
 from repro.learning.linear_regression import LinearRegression, train_test_split
 from repro.learning.metrics import mean_squared_error
+from repro.market.features import row_dots
 from repro.utils.rng import spawn_rngs
 
 
@@ -125,14 +127,11 @@ def build_accommodation_environment(config: AccommodationConfig) -> AppEnvironme
     theta = regression.weight_vector(include_intercept=False)
     model = LogLinearModel(theta)
 
-    arrivals: List[QueryArrival] = []
-    for row in features:
-        link_value = float(row @ theta)
-        if config.reserve_log_ratio is None:
-            reserve = None
-        else:
-            reserve = float(np.exp(config.reserve_log_ratio * link_value))
-        arrivals.append(QueryArrival(features=row, reserve_value=reserve, noise=0.0))
+    rounds = features.shape[0]
+    if config.reserve_log_ratio is None:
+        reserves = np.full(rounds, np.nan)
+    else:
+        reserves = np.exp(config.reserve_log_ratio * row_dots(features, theta))
 
     feature_norms = np.linalg.norm(features, axis=1)
     radius = 1.25 * max(float(np.linalg.norm(theta)), 1e-6)
@@ -145,7 +144,7 @@ def build_accommodation_environment(config: AccommodationConfig) -> AppEnvironme
 
     return AppEnvironment(
         model=model,
-        arrivals=arrivals,
+        batch=ArrivalBatch(features=features, reserve_values=reserves, noise=np.zeros(rounds)),
         dimension=config.dimension,
         radius=radius,
         epsilon=config.resolved_epsilon(),

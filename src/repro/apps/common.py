@@ -10,16 +10,15 @@ versions plus the risk-averse baseline over it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.core.base import PostedPriceMechanism
 from repro.core.baselines import RiskAversePricer
 from repro.core.models import MarketValueModel
-from repro.core.noise import NoNoise
 from repro.core.pricing import make_pricer
-from repro.core.simulation import QueryArrival, SimulationResult
+from repro.core.simulation import SimulationResult
 from repro.engine import ArrivalBatch, MarketScenario, RunMatrix
 
 #: The four algorithm versions evaluated throughout Section V, keyed by the
@@ -35,6 +34,29 @@ ALGORITHM_VERSIONS = (
 RISK_AVERSE = "risk-averse baseline"
 
 
+class ArrivalRows(Sequence):
+    """Read-only :class:`QueryArrival` rows of an :class:`ArrivalBatch`.
+
+    Rows are built on access, so slicing a long horizon builds only the
+    slice.  For callers that consume row objects (``simulate_reference``,
+    tests); the engine reads the batch's columns.
+    """
+
+    def __init__(self, batch: ArrivalBatch) -> None:
+        self._batch = batch
+
+    def __len__(self) -> int:
+        return len(self._batch)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._batch.row(i) for i in range(*index.indices(len(self)))]
+        rounds = len(self)
+        if not -rounds <= index < rounds:
+            raise IndexError("arrival index %d out of range for %d rounds" % (index, rounds))
+        return self._batch.row(index % rounds)
+
+
 @dataclass
 class AppEnvironment:
     """A fully materialised market environment for one application instance.
@@ -43,8 +65,9 @@ class AppEnvironment:
     ----------
     model:
         Market value model generating ``v_t`` (holds the true ``θ*``).
-    arrivals:
-        The query arrival sequence, with reserve prices and pre-drawn noise.
+    batch:
+        The query arrival sequence as columns, with reserve prices and
+        pre-drawn noise (see :meth:`arrival_batch`).
     dimension:
         Link-space feature dimension ``n`` seen by the pricer.
     radius:
@@ -64,7 +87,7 @@ class AppEnvironment:
     """
 
     model: MarketValueModel
-    arrivals: List[QueryArrival]
+    batch: ArrivalBatch
     dimension: int
     radius: float
     epsilon: float
@@ -77,26 +100,23 @@ class AppEnvironment:
     @property
     def rounds(self) -> int:
         """Number of arrivals in the environment."""
-        return len(self.arrivals)
+        return len(self.batch)
+
+    @property
+    def arrivals(self) -> ArrivalRows:
+        """The arrivals as :class:`QueryArrival` rows, built on access."""
+        return ArrivalRows(self.batch)
 
     def arrival_batch(self) -> ArrivalBatch:
-        """The arrivals as a columnar :class:`~repro.engine.ArrivalBatch`.
-
-        Built once and cached; arrivals without a pre-drawn noise value get
-        δ_t = 0, matching the legacy simulator's no-noise default.
-        """
-        batch = getattr(self, "_batch", None)
-        if batch is None:
-            batch = ArrivalBatch.from_arrivals(self.arrivals).with_noise(NoNoise())
-            self._batch = batch
-        return batch
+        """The arrivals as a columnar :class:`~repro.engine.ArrivalBatch`."""
+        return self.batch
 
     def as_scenario(self, name: Optional[str] = None) -> MarketScenario:
         """Wrap this environment as a run-matrix :class:`MarketScenario`."""
         return MarketScenario(
             name=name or self.name,
             model=self.model,
-            batch=self.arrival_batch(),
+            batch=self.batch,
             context=self,
         )
 

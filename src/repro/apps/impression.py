@@ -20,15 +20,16 @@ Reproduces the setup of Section V-C:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.apps.common import AppEnvironment, run_versions
 from repro.core.models import LogisticModel
 from repro.core.pricing import PricerConfig
-from repro.core.simulation import QueryArrival, SimulationResult
+from repro.core.simulation import SimulationResult
 from repro.datasets.ad_clicks import AdClickDataset, generate_ad_clicks
+from repro.engine import ArrivalBatch
 from repro.learning.ftrl import FTRLProximal
 from repro.learning.hashing import HashingVectorizer
 from repro.learning.metrics import log_loss
@@ -118,9 +119,6 @@ def build_impression_environment(config: ImpressionConfig) -> AppEnvironment:
         pricing_dimension = config.dimension
 
     model = LogisticModel(theta)
-    arrivals: List[QueryArrival] = [
-        QueryArrival(features=row, reserve_value=None, noise=0.0) for row in online_matrix
-    ]
 
     if config.epsilon is not None:
         epsilon = config.epsilon
@@ -136,7 +134,13 @@ def build_impression_environment(config: ImpressionConfig) -> AppEnvironment:
 
     return AppEnvironment(
         model=model,
-        arrivals=arrivals,
+        # C order: the dense case's column selection returns a strided
+        # matrix, and the engine's per-row dot products round by stride.
+        batch=ArrivalBatch(
+            features=np.ascontiguousarray(online_matrix),
+            reserve_values=np.full(config.impression_count, np.nan),
+            noise=np.zeros(config.impression_count),
+        ),
         dimension=pricing_dimension,
         radius=radius,
         epsilon=epsilon,

@@ -22,7 +22,7 @@ Reproduces the setup of Section V-A:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -30,13 +30,14 @@ from repro.apps.common import ALGORITHM_VERSIONS, AppEnvironment, run_versions, 
 from repro.core.models import LinearModel
 from repro.core.noise import GaussianNoise, sigma_for_buffer
 from repro.core.pricing import PricerConfig
-from repro.core.simulation import QueryArrival, SimulationResult
+from repro.core.simulation import SimulationResult
 from repro.datasets.synthetic_ratings import generate_ratings
-from repro.market.features import CompensationFeatureExtractor
+from repro.engine import ArrivalBatch
+from repro.market.features import CompensationFeatureExtractor, row_dots
 from repro.market.owners import OwnerPopulation
 from repro.market.privacy import LeakageQuantifier
 from repro.market.queries import QueryGenerator
-from repro.utils.rng import as_rng, spawn_rngs
+from repro.utils.rng import spawn_rngs
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,19 @@ class NoisyLinearQueryConfig:
         return PricerConfig.theoretical_epsilon(self.dimension, self.rounds, delta=self.delta)
 
 
+#: Rounds built per block.  Each block allocates a few ``(rounds, owners)``
+#: temporaries, so the block size bounds the build's peak memory; a whole
+#: 20,000-round horizon at 200 owners would take 32 MB per temporary.
+BLOCK_ROUNDS = 1024
+
+
 def build_noisy_query_environment(config: NoisyLinearQueryConfig) -> AppEnvironment:
-    """Materialise the market environment (model, arrivals) for the experiment."""
+    """Materialise the market environment (model, arrivals) for the experiment.
+
+    The queries are drawn round by round, in the generator's stream order;
+    everything after the draws (leakages, compensations, features, reserve
+    prices) is computed a block of :data:`BLOCK_ROUNDS` rounds at a time.
+    """
     if config.rounds < 1:
         raise ValueError("rounds must be positive, got %d" % config.rounds)
     rng_owners, rng_theta, rng_queries, rng_noise = spawn_rngs(config.seed, 4)
@@ -107,49 +119,38 @@ def build_noisy_query_environment(config: NoisyLinearQueryConfig) -> AppEnvironm
     raw_theta = np.abs(rng_theta.standard_normal(config.dimension))
     theta = scale_to_norm(raw_theta, config.theta_norm_factor * np.sqrt(config.dimension))
 
-    # Per-round uncertainty: δ = 0.01 buffer, normal noise calibrated to it.
-    sigma = sigma_for_buffer(config.delta, config.rounds)
-    noise = GaussianNoise(sigma) if sigma > 0 else None
-
     generator = QueryGenerator(owner_count=len(owners), seed=rng_queries)
     quantifier = LeakageQuantifier()
     extractor = CompensationFeatureExtractor(dimension=config.dimension, normalise=True)
 
-    feature_rows: List[np.ndarray] = []
-    reserves: List[float] = []
-    query_metadata: List[dict] = []
-    for _ in range(config.rounds):
-        query = generator.generate()
-        leakages = quantifier.leakages(query)
-        compensations = owners.compensations(leakages)
-        extraction = extractor.extract(compensations)
-        feature_rows.append(extraction.features)
-        reserves.append(extractor.reserve_price(extraction))
-        query_metadata.append({"query_id": query.query_id, "noise_scale": query.noise_scale})
+    features = np.empty((config.rounds, config.dimension))
+    reserves = np.empty(config.rounds)
+    for start in range(0, config.rounds, BLOCK_ROUNDS):
+        stop = min(start + BLOCK_ROUNDS, config.rounds)
+        queries = generator.generate_block(stop - start)
+        extraction = extractor.extract(owners.compensations(quantifier.leakages(queries)))
+        features[start:stop] = extraction.features
+        reserves[start:stop] = extractor.reserve_price(extraction)
 
     # The paper states that ‖θ*‖ = √(2n) makes the market value exceed the
     # reserve price with high probability.  With synthetic compensation
     # profiles that is not automatic for every random draw of θ*, so enforce
     # it: if the median value/reserve ratio falls below the calibration
     # target, rescale θ* upward (Table I's observed ratio is ≈ 1.14).
-    ratios = [
-        float(row @ theta) / reserve if reserve > 0 else np.inf
-        for row, reserve in zip(feature_rows, reserves)
-    ]
-    median_ratio = float(np.median(ratios)) if ratios else np.inf
+    ratios = np.full(config.rounds, np.inf)
+    np.divide(row_dots(features, theta), reserves, out=ratios, where=reserves > 0)
+    median_ratio = float(np.median(ratios))
     calibration_target = 1.15
     if np.isfinite(median_ratio) and median_ratio < calibration_target:
         theta = theta * (calibration_target / max(median_ratio, 1e-9))
     model = LinearModel(theta)
 
-    arrivals: List[QueryArrival] = []
-    for row, reserve, metadata in zip(feature_rows, reserves, query_metadata):
-        noise_value = float(noise.sample(rng_noise)) if noise is not None else 0.0
-        arrivals.append(
-            QueryArrival(
-                features=row, reserve_value=reserve, noise=noise_value, metadata=metadata
-            )
-        )
+    # Per-round uncertainty: δ = 0.01 buffer, normal noise calibrated to it.
+    sigma = sigma_for_buffer(config.delta, config.rounds)
+    if sigma > 0:
+        noise = GaussianNoise(sigma).sample(rng_noise, size=config.rounds)
+    else:
+        noise = np.zeros(config.rounds)
 
     radius = max(
         config.radius_factor * float(np.sqrt(config.dimension)),
@@ -157,7 +158,7 @@ def build_noisy_query_environment(config: NoisyLinearQueryConfig) -> AppEnvironm
     )
     return AppEnvironment(
         model=model,
-        arrivals=arrivals,
+        batch=ArrivalBatch(features=features, reserve_values=reserves, noise=noise),
         dimension=config.dimension,
         radius=radius,
         epsilon=config.resolved_epsilon(),

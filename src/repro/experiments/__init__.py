@@ -11,7 +11,7 @@ Fig. 5 (b)                :mod:`repro.experiments.fig5`               ``benchmar
 Fig. 5 (c)                :mod:`repro.experiments.fig5`               ``benchmarks/bench_fig5c.py``
 Section V-D (overhead)    :mod:`repro.experiments.overhead`           ``benchmarks/bench_overhead.py``
 Fig. 6 / Lemma 8          :mod:`repro.experiments.adversarial`        ``benchmarks/bench_lemma8.py``
-Theorems 1 / 3 (scaling)  :mod:`repro.experiments.regret_scaling`     ``benchmarks/bench_regret_scaling.py``
+Theorems 1 / 3 (scaling)  :mod:`repro.experiments.regret_scaling`     ``tests/claims/test_regret_scaling.py``
 ========================  ==========================================  =====================
 
 Every experiment function takes explicit size parameters so the benches can run

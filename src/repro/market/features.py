@@ -15,37 +15,53 @@ scenarios where the aggregation pattern is not appropriate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Union
 
 import numpy as np
 
-from repro.utils.validation import ensure_vector
+from repro.exceptions import DimensionMismatchError
+from repro.utils.validation import ensure_finite_array
+
+
+def row_dots(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``left`` with ``right`` (a vector or a
+    row-aligned matrix), rounded exactly like one 1-D ``ndarray.dot`` per row.
+
+    A stacked ``(k, 1, n) @ (k, n, 1)`` matmul reduces each row with the
+    same BLAS dot kernel a 1-D product calls; ``left @ vector`` (gemv) and
+    ``einsum`` accumulate in other orders and do not round alike.
+    """
+    right = right[:, None] if right.ndim == 1 else right[:, :, None]
+    return np.matmul(left[:, None, :], right)[:, 0, 0]
 
 
 @dataclass(frozen=True)
 class FeatureExtraction:
-    """Result of one feature extraction.
+    """Result of a feature extraction, for one query or a block of queries.
 
     Attributes
     ----------
     features:
-        The (possibly normalised) feature vector handed to the pricer.
+        The (possibly normalised) feature vector handed to the pricer, or a
+        ``(rounds, dimension)`` matrix for a block.
     total_compensation:
         The sum of all per-owner compensations — the query's reserve price
-        before any normalisation.
+        before any normalisation (one entry per row for a block).
     scale:
         The factor by which the raw aggregated features were divided during
-        normalisation (1.0 when normalisation is disabled).
+        normalisation (1.0 when normalisation is disabled; one entry per row
+        for a block).
     """
 
     features: np.ndarray
-    total_compensation: float
-    scale: float
+    total_compensation: Union[float, np.ndarray]
+    scale: Union[float, np.ndarray]
 
     @property
-    def normalised_total(self) -> float:
+    def normalised_total(self) -> Union[float, np.ndarray]:
         """Total compensation measured in the same scale as ``features``."""
-        return float(np.sum(self.features))
+        totals = np.sum(self.features, axis=-1)
+        return float(totals) if totals.ndim == 0 else totals
 
 
 class CompensationFeatureExtractor:
@@ -73,51 +89,61 @@ class CompensationFeatureExtractor:
         self.descending = bool(descending)
 
     def extract(self, compensations: Sequence[float]) -> FeatureExtraction:
-        """Build the feature vector for one query's compensation profile."""
-        compensations = ensure_vector(compensations, name="compensations")
+        """Build the features of one compensation profile, or of a
+        ``(rounds, owners)`` block of profiles (one query per row).
+
+        One profile is computed as a one-row block, so a row of a block
+        extraction equals the extraction of that row alone, bit for bit.
+        """
+        compensations = ensure_finite_array(compensations, name="compensations")
+        if compensations.ndim not in (1, 2):
+            raise DimensionMismatchError(
+                "compensations must be a vector or a (rounds, owners) block, got shape %s"
+                % (compensations.shape,)
+            )
         if np.any(compensations < 0):
             raise ValueError("compensations must be non-negative")
-        total = float(np.sum(compensations))
+        block = compensations.reshape(-1, compensations.shape[-1])
+        totals = np.sum(block, axis=1)
 
-        aggregated = self.aggregate(compensations)
+        features = self.aggregate(block)
+        scales = np.ones(block.shape[0])
         if self.normalise:
             # Factor out the peak before taking the norm: squaring the raw
             # entries under/overflows for extreme magnitudes (a denormal
             # compensation used to produce a "unit" vector with L2 norm
-            # measurably above 1).
-            peak = float(np.max(aggregated))
-            if peak > 0.0:
-                scaled = aggregated / peak
-                unit_norm = float(np.linalg.norm(scaled))
-                scale = peak * unit_norm
-                features = scaled / unit_norm
-            else:
-                scale = 1.0
-                features = aggregated
-        else:
-            scale = 1.0
-            features = aggregated
-        return FeatureExtraction(features=features, total_compensation=total, scale=scale)
+            # measurably above 1).  All-zero rows stay as they are.
+            peaks = np.max(features, axis=1)
+            rows = peaks > 0.0
+            scaled = features[rows] / peaks[rows, None]
+            unit_norms = np.sqrt(row_dots(scaled, scaled))
+            features[rows] = scaled / unit_norms[:, None]
+            scales[rows] = peaks[rows] * unit_norms
+        if compensations.ndim == 1:
+            return FeatureExtraction(
+                features=features[0], total_compensation=float(totals[0]), scale=float(scales[0])
+            )
+        return FeatureExtraction(features=features, total_compensation=totals, scale=scales)
 
     def aggregate(self, compensations: np.ndarray) -> np.ndarray:
-        """Sort the compensations and sum them within ``dimension`` partitions."""
-        ordered = np.sort(compensations)
+        """Sort the compensations and sum them within ``dimension`` partitions
+        (along the last axis, so a block aggregates row by row)."""
+        ordered = np.sort(compensations, axis=-1)
         if self.descending:
-            ordered = ordered[::-1]
-        owner_count = ordered.shape[0]
+            ordered = ordered[..., ::-1]
+        owner_count = ordered.shape[-1]
         if self.dimension >= owner_count:
             # Fewer owners than features: pad with zeros (each owner its own feature).
-            padded = np.zeros(self.dimension)
-            padded[:owner_count] = ordered
+            padded = np.zeros(ordered.shape[:-1] + (self.dimension,))
+            padded[..., :owner_count] = ordered
             return padded
         boundaries = np.linspace(0, owner_count, self.dimension + 1).astype(int)
-        sums = np.add.reduceat(ordered, boundaries[:-1])
-        return sums.astype(float)
+        return np.add.reduceat(ordered, boundaries[:-1], axis=-1)
 
     def reserve_price(
         self, extraction: FeatureExtraction, use_normalised_scale: bool = True
-    ) -> float:
-        """The query's reserve price.
+    ) -> Union[float, np.ndarray]:
+        """The query's reserve price (one per row for a block).
 
         The paper sets the reserve price to the total privacy compensation
         expressed in the same (normalised) scale as the feature vector, i.e.

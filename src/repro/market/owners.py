@@ -71,14 +71,16 @@ class OwnerPopulation:
         return np.array([owner.data for owner in self.owners], dtype=float)
 
     def compensations(self, leakages: Sequence[float]) -> np.ndarray:
-        """Per-owner compensations for a vector of privacy leakages.
+        """Per-owner compensations for privacy leakages.
 
+        ``leakages`` is one vector (one entry per owner) or a ``(rounds,
+        owners)`` block with one query per row; the result has its shape.
         When every owner holds a :class:`TanhCompensation` contract the
         computation is vectorised (the common case in the noisy-linear-query
-        application, where it sits on the per-round hot path).
+        application, where it sits on the market build's hot path).
         """
         leakages = np.asarray(leakages, dtype=float)
-        if leakages.shape != (len(self.owners),):
+        if leakages.ndim not in (1, 2) or leakages.shape[-1] != len(self.owners):
             raise DatasetError(
                 "expected one leakage per owner (%d), got shape %s"
                 % (len(self.owners), leakages.shape)
@@ -90,9 +92,12 @@ class OwnerPopulation:
             base_rates, sensitivities = vectorised
             return base_rates * np.tanh(sensitivities * leakages)
         return np.array(
-            [owner.compensation_for(float(leak)) for owner, leak in zip(self.owners, leakages)],
+            [
+                [owner.compensation_for(float(leak)) for owner, leak in zip(self.owners, row)]
+                for row in leakages.reshape(-1, len(self.owners))
+            ],
             dtype=float,
-        )
+        ).reshape(leakages.shape)
 
     def _tanh_contract_arrays(self):
         """Cached (base_rate, sensitivity) arrays when all contracts are tanh."""

@@ -11,44 +11,54 @@ differentially private with respect to her data.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.market.queries import NoisyLinearQuery
-from repro.utils.validation import ensure_positive, ensure_vector
+from repro.exceptions import DimensionMismatchError
+from repro.market.queries import NoisyLinearQuery, QueryBlock
+from repro.utils.validation import ensure_finite_array, ensure_positive, ensure_vector
 
 
 def laplace_privacy_leakage(
     weights: Sequence[float],
-    noise_scale: float,
+    noise_scale: Union[float, np.ndarray],
     data_ranges: Optional[Sequence[float]] = None,
 ) -> np.ndarray:
-    """Per-owner differential privacy leakage of a noisy linear query.
+    """Per-owner differential privacy leakage of noisy linear queries.
 
     Parameters
     ----------
     weights:
-        Per-owner analysis weights ``w``.
+        Per-owner analysis weights ``w``: a vector for one query, or a
+        ``(rounds, owners)`` block with one query per row.
     noise_scale:
-        Laplace noise scale ``b`` of the returned answer.
+        Laplace noise scale ``b`` of the returned answer: a scalar for one
+        query, one entry per row for a block.
     data_ranges:
         Optional per-owner data ranges ``Δ_i`` (defaults to 1 for every owner).
 
     Returns
     -------
     numpy.ndarray
-        The leakage vector ``ε_i = |w_i| · Δ_i / b``.
+        The leakages ``ε_i = |w_i| · Δ_i / b``, shaped like ``weights``.
     """
-    weights = ensure_vector(weights, name="weights")
-    ensure_positive(noise_scale, name="noise_scale")
+    weights = ensure_finite_array(weights, name="weights")
+    scales = ensure_finite_array(noise_scale, name="noise_scale")
+    if weights.ndim not in (1, 2) or scales.shape != weights.shape[:-1]:
+        raise DimensionMismatchError(
+            "expected weights of one query or a (rounds, owners) block, with one "
+            "noise scale per query; got shapes %s and %s" % (weights.shape, scales.shape)
+        )
+    if np.any(scales <= 0):
+        raise ValueError("noise_scale must be strictly positive")
     if data_ranges is None:
-        ranges = np.ones_like(weights)
+        ranges = np.ones(weights.shape[-1])
     else:
-        ranges = ensure_vector(data_ranges, dimension=weights.shape[0], name="data_ranges")
+        ranges = ensure_vector(data_ranges, dimension=weights.shape[-1], name="data_ranges")
         if np.any(ranges < 0):
             raise ValueError("data ranges must be non-negative")
-    return np.abs(weights) * ranges / float(noise_scale)
+    return np.abs(weights) * ranges / scales[..., None]
 
 
 class LeakageQuantifier:
@@ -75,13 +85,15 @@ class LeakageQuantifier:
             ensure_positive(leakage_cap, name="leakage_cap")
         self.leakage_cap = leakage_cap
 
-    def leakages(self, query: NoisyLinearQuery) -> np.ndarray:
-        """Per-owner leakage vector for ``query``."""
+    def leakages(self, query: Union[NoisyLinearQuery, QueryBlock]) -> np.ndarray:
+        """Per-owner leakages of ``query``: a vector for one query, a
+        ``(rounds, owners)`` matrix for a :class:`QueryBlock`."""
         ranges = self.data_ranges
-        if ranges is not None and ranges.shape[0] != query.owner_count:
+        owner_count = query.weights.shape[-1]
+        if ranges is not None and ranges.shape[0] != owner_count:
             raise ValueError(
                 "data_ranges has %d entries but the query touches %d owners"
-                % (ranges.shape[0], query.owner_count)
+                % (ranges.shape[0], owner_count)
             )
         leakages = laplace_privacy_leakage(query.weights, query.noise_scale, ranges)
         if self.leakage_cap is not None:

@@ -59,6 +59,34 @@ class NoisyLinearQuery:
         return self.true_answer(data) + float(rng.laplace(0.0, self.noise_scale))
 
 
+@dataclass(frozen=True)
+class QueryBlock:
+    """Consecutive noisy linear queries as columns.
+
+    Attributes
+    ----------
+    weights:
+        Per-owner analysis weights, shape ``(rounds, owners)``; row ``i`` is
+        query ``first_id + i``.
+    noise_scale:
+        Laplace noise scale of each query, shape ``(rounds,)``.
+    first_id:
+        Identifier of the first query in the block.
+    """
+
+    weights: np.ndarray
+    noise_scale: np.ndarray
+    first_id: int = 0
+
+    def query(self, index: int) -> NoisyLinearQuery:
+        """Row ``index`` as a :class:`NoisyLinearQuery`."""
+        return NoisyLinearQuery(
+            weights=self.weights[index],
+            noise_scale=float(self.noise_scale[index]),
+            query_id=self.first_id + index,
+        )
+
+
 class QueryGenerator:
     """Generates random customised queries the way the paper's evaluation does.
 
@@ -103,20 +131,36 @@ class QueryGenerator:
         self._next_id = 0
 
     def generate(self) -> NoisyLinearQuery:
-        """Draw one random query."""
-        style = self.weight_styles[int(self.rng.integers(0, len(self.weight_styles)))]
-        if style == "normal":
-            weights = self.rng.standard_normal(self.owner_count)
-        else:
-            weights = self.rng.uniform(-1.0, 1.0, size=self.owner_count)
-        exponent = int(
-            self.rng.integers(-self.max_noise_exponent, self.max_noise_exponent + 1)
+        """Draw one random query (the one-row case of :meth:`generate_block`)."""
+        return self.generate_block(1).query(0)
+
+    def generate_block(self, rounds: int) -> QueryBlock:
+        """Draw the next ``rounds`` queries as one :class:`QueryBlock`.
+
+        Each round makes the same three draws :meth:`generate` always made,
+        in the same order (weight style, weights, noise exponent), so a block
+        of ``k`` rounds consumes the random stream exactly like ``k`` calls
+        of :meth:`generate`.
+        """
+        if rounds < 0:
+            raise DatasetError("rounds must be non-negative, got %d" % rounds)
+        rng, styles, bound = self.rng, self.weight_styles, self.max_noise_exponent
+        weights = np.empty((rounds, self.owner_count))
+        exponents = np.empty(rounds, dtype=np.int64)
+        for index in range(rounds):
+            if styles[int(rng.integers(0, len(styles)))] == "normal":
+                rng.standard_normal(out=weights[index])
+            else:
+                weights[index] = rng.uniform(-1.0, 1.0, size=self.owner_count)
+            exponents[index] = rng.integers(-bound, bound + 1)
+        # The grid entries are Python ``10.0**k`` floats, the values a single
+        # query always carried.
+        grid = np.array([10.0**k for k in range(-bound, bound + 1)])
+        block = QueryBlock(
+            weights=weights, noise_scale=grid[exponents + bound], first_id=self._next_id
         )
-        query = NoisyLinearQuery(
-            weights=weights, noise_scale=10.0**exponent, query_id=self._next_id
-        )
-        self._next_id += 1
-        return query
+        self._next_id += rounds
+        return block
 
     def stream(self, count: int) -> Iterator[NoisyLinearQuery]:
         """Yield ``count`` random queries."""
