@@ -41,10 +41,10 @@ Four measurement modes, all written into one ``BENCH_serving.json``:
 * **stacked-cut feedback micro-bench** (``--feedback-sessions N``) — N
   same-family ellipsoid sessions in lockstep, timing the ``feedback_batch``
   path twice: the default per-session scalar loop vs ``backend="batched"``
-  (one stacked Löwner–John kernel call over the sessions' slab rows).
+  (one stacked Löwner–John kernel call over the sessions' live ellipsoids).
   Reports both timings, the speedup (``--feedback-min-speedup`` turns it
   into a CI gate), and the stacked-update coverage counters.
-* **Zipf popularity sweep** (``--zipf-sessions N``) — the columnar-store
+* **Zipf popularity sweep** (``--zipf-sessions N``) — the session-store
   stress: quotes drawn from a Zipf(``--zipf-a``) popularity law over ``N``
   distinct sessions (≥ 100k in the committed run) against a residency bound
   of ``--zipf-max-sessions``, so the tail of the distribution thrashes
@@ -632,8 +632,8 @@ def run_batched_feedback(args, environment, materialized):
     session quotes the same arrival, the micro-batch drains, and all outcomes
     go back through one ``feedback_batch`` call.  With the default backend
     that call runs N scalar Löwner–John updates; with ``backend="batched"``
-    the eligible single-cut session groups are gathered from the columnar
-    store's slab rows and updated by **one** stacked kernel invocation.  Only
+    the eligible single-cut session groups' live ellipsoids are stacked and
+    updated by **one** stacked kernel invocation.  Only
     the ``feedback_batch`` calls are timed — the quote path is identical in
     both runs — so the ratio isolates the cross-session batching win the
     relaxed tier admits.
@@ -779,7 +779,7 @@ def run_sharded_scaling(args, materialized, keys, factory):
 
 
 def run_zipf_popularity(args, environment, materialized):
-    """Zipf-popularity session churn: the columnar store's stress workload.
+    """Zipf-popularity session churn: the session store's stress workload.
 
     ``--zipf-sessions`` distinct sessions, accesses drawn from a bounded
     Zipf(``--zipf-a``) law, residency capped at ``--zipf-max-sessions`` —
@@ -791,7 +791,7 @@ def run_zipf_popularity(args, environment, materialized):
       from the store's instrumentation) — the mmap segment read path;
     * ``resident_bytes`` / ``bytes_per_session`` — memory stays bounded by
       the residency cap, not the session universe (the CI gate compares
-      bytes/session against the committed baseline);
+      bytes/session against the pricer family's state-array bytes);
     * the eviction-cost curve — ``clock_hand_steps / evictions`` across
       growing resident sizes.  The old LRU scan walked the whole resident
       set per eviction (O(n)); the clock hand must hold a flat, small
@@ -846,7 +846,7 @@ def run_zipf_popularity(args, environment, materialized):
             )
         wall_seconds = time.perf_counter() - start
         stats = registry.stats.as_dict()
-        hydration = LatencySummary.from_seconds(registry.store.hydration_seconds)
+        hydration = LatencySummary.from_seconds(registry.hydration_seconds)
         resident = registry.resident_count
         served = service.stats.quotes_served
         settled = service.stats.feedback_applied

@@ -18,12 +18,7 @@ This package implements the paper's primary contribution:
 
 from repro.core.ellipsoid import Ellipsoid
 from repro.core.cuts import CutResult, CutKind, loewner_john_cut
-from repro.core.batched_ellipsoid import (
-    BackendUnavailableError,
-    BatchedCutResult,
-    batched_cut,
-    get_backend,
-)
+from repro.core.batched_ellipsoid import BatchedCutResult, batched_cut
 from repro.core.knowledge import (
     EllipsoidKnowledge,
     IntervalKnowledge,
@@ -79,10 +74,8 @@ __all__ = [
     "CutResult",
     "CutKind",
     "loewner_john_cut",
-    "BackendUnavailableError",
     "BatchedCutResult",
     "batched_cut",
-    "get_backend",
     "KnowledgeSet",
     "EllipsoidKnowledge",
     "IntervalKnowledge",

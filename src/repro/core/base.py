@@ -227,10 +227,10 @@ class PostedPriceMechanism(abc.ABC):
             Math-backend selector.  ``None`` / ``"reference"`` require the
             bit-exact tier: the implementation must be element-wise identical
             to the sequential propose/update loop, including internal
-            counters.  A relaxed-tier backend name (``"batched"``,
-            ``"batched-torch"``; see :mod:`repro.engine.equivalence`) permits
-            implementations that round differently but agree under the
-            relaxed tolerance policies.  Pricers without a matching fast path
+            counters.  The relaxed-tier backend name ``"batched"`` (see
+            :mod:`repro.engine.equivalence`) permits implementations that
+            round differently but agree under the relaxed tolerance
+            policies.  Pricers without a matching fast path
             ignore the knob and fall back to their reference behaviour.
 
         Returns ``True`` when the pricer handled the run, or ``False`` to

@@ -8,46 +8,23 @@ pricer's ``update``, the serving feedback path) uses — including the
 degenerate-direction clamp, the no-op range ``α < -1/n``, the skip range
 ``α > 1`` and the point-collapse at ``α = 1``.
 
-Two interchangeable implementations sit behind :func:`get_backend`:
-
-* ``"batched"`` — numpy ``einsum``/broadcast arithmetic.  This is the default
-  fast backend: one stacked update replaces ``k`` Python-level cut calls.
-* ``"batched-torch"`` — the same formulas in ``torch`` (double precision),
-  available only when torch is importable; :data:`HAS_TORCH` gates it and
-  :class:`BackendUnavailableError` is raised otherwise.
-
-Both round differently than the scalar reference path (``einsum``/gemm
-contraction order vs. per-round ``x @ A @ x``), so results are admitted under
-the **relaxed** equivalence tier (:mod:`repro.engine.equivalence`), never the
-bit-exact golden tier.
+These numpy functions (``einsum``/broadcast arithmetic) are the
+``backend="batched"`` math: one stacked update replaces ``k`` Python-level
+cut calls.  They round differently than the scalar reference path
+(``einsum``/gemm contraction order vs. per-round ``x @ A @ x``), so results
+are admitted under the **relaxed** equivalence tier
+(:mod:`repro.engine.equivalence`), never the bit-exact golden tier.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.cuts import _ALPHA_TOLERANCE, _DEGENERATE_GAIN
-
-try:  # pragma: no cover - exercised only where torch is installed
-    import torch
-
-    HAS_TORCH = True
-except ImportError:  # pragma: no cover
-    torch = None
-    HAS_TORCH = False
-
-
-class BackendUnavailableError(RuntimeError):
-    """A requested math backend's runtime dependency is not installed."""
-
-
-#: Names accepted by :func:`get_backend` (and the engine/serving ``backend=``
-#: knobs; ``"reference"`` is handled by the callers, not here).
-BACKEND_NAMES = ("batched", "batched-torch")
 
 
 def keep_signs(keep) -> np.ndarray:
@@ -118,11 +95,6 @@ def _validate_batch(centers, shapes, directions, offsets, signs):
     if not np.all(np.abs(signs) == 1.0):
         raise ValueError("keep signs must be +1 (leq) or -1 (geq)")
     return centers, shapes, directions, offsets, signs
-
-
-# --------------------------------------------------------------------------- #
-# numpy implementation
-# --------------------------------------------------------------------------- #
 
 
 def batched_support_intervals(
@@ -268,173 +240,3 @@ def single_cut(
     shaped = scale * (shape - rank_one * np.outer(boundary, boundary))
     step = ((1.0 + dimension * alpha) / (dimension + 1.0)) * sign
     return center - step * boundary, 0.5 * (shaped + shaped.T)
-
-
-# --------------------------------------------------------------------------- #
-# torch implementation (optional; same interface, numpy in / numpy out)
-# --------------------------------------------------------------------------- #
-
-
-def _require_torch() -> None:
-    if not HAS_TORCH:
-        raise BackendUnavailableError(
-            "the 'batched-torch' backend requires torch, which is not installed; "
-            "use backend='batched' (numpy)"
-        )
-
-
-def batched_support_intervals_torch(centers, shapes, directions):
-    """Torch twin of :func:`batched_support_intervals` (double precision)."""
-    _require_torch()
-    c = torch.as_tensor(np.ascontiguousarray(centers, dtype=float))
-    a = torch.as_tensor(np.ascontiguousarray(shapes, dtype=float))
-    d = torch.as_tensor(np.ascontiguousarray(directions, dtype=float))
-    gains = torch.einsum("ki,kij,kj->k", d, a, d).clamp_min(0.0)
-    half_widths = torch.sqrt(gains)
-    middles = torch.einsum("ki,ki->k", d, c)
-    return (middles - half_widths).numpy(), (middles + half_widths).numpy()
-
-
-def block_support_intervals_torch(center, shape, features):
-    """Torch twin of :func:`block_support_intervals` (double precision)."""
-    _require_torch()
-    c = torch.as_tensor(np.ascontiguousarray(center, dtype=float))
-    a = torch.as_tensor(np.ascontiguousarray(shape, dtype=float))
-    x = torch.as_tensor(np.ascontiguousarray(features, dtype=float))
-    gains = torch.einsum("ri,ij,rj->r", x, a, x).clamp_min(0.0)
-    half_widths = torch.sqrt(gains)
-    middles = x @ c
-    return (middles - half_widths).numpy(), (middles + half_widths).numpy()
-
-
-def batched_cut_torch(
-    centers, shapes, directions, offsets, signs, validate: bool = True
-) -> BatchedCutResult:
-    """Torch twin of :func:`batched_cut` (double precision, numpy in/out)."""
-    _require_torch()
-    if validate:
-        centers, shapes, directions, offsets, signs = _validate_batch(
-            centers, shapes, directions, offsets, signs
-        )
-    centers_np, shapes_np, directions_np, offsets_np, signs_np = (
-        np.asarray(centers, dtype=float),
-        np.asarray(shapes, dtype=float),
-        np.asarray(directions, dtype=float),
-        np.asarray(offsets, dtype=float),
-        np.asarray(signs, dtype=float),
-    )
-    count, dimension = centers_np.shape
-    c = torch.as_tensor(centers_np)
-    a = torch.as_tensor(shapes_np)
-    d = torch.as_tensor(directions_np)
-    o = torch.as_tensor(offsets_np)
-    s = torch.as_tensor(signs_np)
-
-    raw = torch.einsum("kij,kj->ki", a, d)
-    gains = torch.einsum("ki,ki->k", raw, d)
-    degenerate = ~(gains >= _DEGENERATE_GAIN)
-
-    roots = torch.sqrt(torch.where(degenerate, torch.ones_like(gains), gains))
-    signed = (torch.einsum("ki,ki->k", d, c) - o) / roots
-    alphas = s * signed
-    alphas = torch.where(degenerate, torch.full_like(alphas, float("nan")), alphas)
-
-    noop = degenerate | (alphas < -1.0 / dimension - _ALPHA_TOLERANCE)
-    noop |= alphas > 1.0 + _ALPHA_TOLERANCE
-    collapse = ~noop & (alphas >= 1.0)
-    regular = ~noop & ~collapse
-
-    new_c = c.clone()
-    new_a = a.clone()
-    boundary = raw / roots[:, None]
-
-    if bool(collapse.any()):
-        idx = torch.nonzero(collapse).reshape(-1)
-        new_c[idx] = c[idx] - s[idx, None] * boundary[idx]
-        traces = torch.diagonal(a[idx], dim1=1, dim2=2).sum(dim=1)
-        tiny = 1e-18 * traces / dimension
-        eye = torch.eye(dimension, dtype=a.dtype)
-        new_a[idx] = tiny[:, None, None] * eye[None, :, :]
-
-    if bool(regular.any()):
-        idx = torch.nonzero(regular).reshape(-1)
-        al = alphas[idx]
-        scale = dimension**2 * (1.0 - al**2) / (dimension**2 - 1.0)
-        rank_one = 2.0 * (1.0 + dimension * al) / ((dimension + 1.0) * (1.0 + al))
-        outer = boundary[idx, :, None] * boundary[idx, None, :]
-        shaped = scale[:, None, None] * (a[idx] - rank_one[:, None, None] * outer)
-        new_a[idx] = 0.5 * (shaped + shaped.transpose(1, 2))
-        step = ((1.0 + dimension * al) / (dimension + 1.0)) * s[idx]
-        new_c[idx] = c[idx] - step[:, None] * boundary[idx]
-
-    return BatchedCutResult(
-        centers=new_c.numpy(),
-        shapes=new_a.numpy(),
-        alphas=alphas.numpy(),
-        updated=(~noop).numpy(),
-    )
-
-
-def single_cut_torch(center, shape, direction, offset, sign):
-    """Torch twin of :func:`single_cut` — delegates to the stacked kernel."""
-    result = batched_cut_torch(
-        np.asarray(center, dtype=float)[None, :],
-        np.asarray(shape, dtype=float)[None, :, :],
-        np.asarray(direction, dtype=float)[None, :],
-        np.array([offset], dtype=float),
-        np.array([sign], dtype=float),
-        validate=False,
-    )
-    if not result.updated[0]:
-        return None
-    return result.centers[0], result.shapes[0]
-
-
-# --------------------------------------------------------------------------- #
-# Backend selection
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class Backend:
-    """One batched math backend: the primitive set the engine/serving use."""
-
-    name: str
-    batched_cut: Callable[..., BatchedCutResult]
-    batched_support_intervals: Callable[..., Tuple[np.ndarray, np.ndarray]]
-    block_support_intervals: Callable[..., Tuple[np.ndarray, np.ndarray]]
-    single_cut: Callable[..., Optional[Tuple[np.ndarray, np.ndarray]]]
-
-
-_NUMPY_BACKEND = Backend(
-    name="batched",
-    batched_cut=batched_cut,
-    batched_support_intervals=batched_support_intervals,
-    block_support_intervals=block_support_intervals,
-    single_cut=single_cut,
-)
-
-_TORCH_BACKEND = Backend(
-    name="batched-torch",
-    batched_cut=batched_cut_torch,
-    batched_support_intervals=batched_support_intervals_torch,
-    block_support_intervals=block_support_intervals_torch,
-    single_cut=single_cut_torch,
-)
-
-
-def get_backend(name: str) -> Backend:
-    """Resolve a backend name to its primitive set.
-
-    ``"batched"`` always resolves; ``"batched-torch"`` raises
-    :class:`BackendUnavailableError` when torch is not installed (the
-    container's toolchain is numpy-first — torch is strictly optional).
-    """
-    if name == "batched":
-        return _NUMPY_BACKEND
-    if name == "batched-torch":
-        _require_torch()
-        return _TORCH_BACKEND
-    raise ValueError(
-        "unknown batched backend %r; expected one of %r" % (name, BACKEND_NAMES)
-    )

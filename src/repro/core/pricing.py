@@ -30,6 +30,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.base import KnowledgePricerStateMixin, PostedPriceMechanism, PricingDecision
+from repro.core.batched_ellipsoid import block_support_intervals, single_cut
 from repro.core.ellipsoid import _DEGENERATE_GAIN, Ellipsoid
 from repro.core.knowledge import EllipsoidKnowledge, KnowledgeSet, PolytopeKnowledge
 from repro.utils.validation import ensure_finite_scalar, ensure_positive, ensure_vector
@@ -241,9 +242,9 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
         counters (`exploratory_rounds`, `cuts_applied`, ...) are maintained
         exactly as in the sequential path.
 
-        With a relaxed-tier ``backend`` (``"batched"``, ``"batched-torch"``)
-        the run is block-vectorised through the backend's stacked primitives
-        (:mod:`repro.core.batched_ellipsoid`): the knowledge ellipsoid is
+        With the relaxed-tier ``backend="batched"`` the run is
+        block-vectorised through the stacked primitives of
+        :mod:`repro.core.batched_ellipsoid`: the knowledge ellipsoid is
         constant between applied cuts, so whole blocks of support intervals
         collapse into one gemm-backed contraction — the conservative tail,
         where cuts never happen, becomes a handful of array passes.  The
@@ -257,7 +258,7 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
         if not np.all(np.isfinite(features)):
             return False
         if backend not in (None, "reference"):
-            return self._run_batch_backend(model, materialized, transcript, backend)
+            return self._run_batch_backend(model, materialized, transcript)
         knowledge = self.knowledge
         fast_ellipsoid = isinstance(knowledge, EllipsoidKnowledge)
         use_reserve = config.use_reserve
@@ -342,8 +343,8 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
     _BACKEND_BLOCK_START = 64
     _BACKEND_BLOCK_MAX = 65536
 
-    def _run_batch_backend(self, model, materialized, transcript, backend) -> bool:
-        """Block-vectorised horizon via a relaxed-tier math backend.
+    def _run_batch_backend(self, model, materialized, transcript) -> bool:
+        """Block-vectorised horizon via the relaxed-tier stacked primitives.
 
         Between two *applied* cuts the knowledge ellipsoid is constant, so
         every decision in between depends only on the stacked support
@@ -351,16 +352,13 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
         round order for the first cut candidate that actually changes the
         ellipsoid (no-op cuts — degenerate directions, out-of-range α — leave
         it unchanged, exactly as in the scalar path); the block's decided
-        prefix is committed, the cut is applied through the backend's stacked
-        kernel, and the walk resumes after it.
+        prefix is committed, the cut is applied through the scalar twin of
+        the stacked kernel, and the walk resumes after it.
         """
-        from repro.core import batched_ellipsoid
-
         knowledge = self.knowledge
         if not isinstance(knowledge, EllipsoidKnowledge):
             # Polytope knowledge has no stacked kernel; reference semantics.
             return self.run_batch(model, materialized, transcript)
-        math_backend = batched_ellipsoid.get_backend(backend)
 
         config = self.config
         features = materialized.mapped_features
@@ -394,7 +392,7 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
             stop = min(rounds, start + block_size)
             block = features[start:stop]
             ellipsoid = knowledge.ellipsoid
-            lower, upper = math_backend.block_support_intervals(
+            lower, upper = block_support_intervals(
                 ellipsoid.center, ellipsoid.shape, block
             )
             effective = effective_all[start:stop]
@@ -426,7 +424,7 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
                     cut_offset, sign = price[j] - delta, -1.0  # keep 'geq'
                 else:
                     cut_offset, sign = price[j] + delta, 1.0  # keep 'leq'
-                updated = math_backend.single_cut(
+                updated = single_cut(
                     ellipsoid.center, ellipsoid.shape, block[j], cut_offset, sign
                 )
                 if updated is not None:

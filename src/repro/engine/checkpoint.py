@@ -162,9 +162,9 @@ def flatten_state(state: dict):
     ``numpy.ndarray`` leaf replaced by an index placeholder; *arrays* is the
     leaf list in deterministic traversal order.  For a given pricer family
     the ``(dtype, shape)`` sequence of the leaves is fixed — this is the
-    per-family array manifest the columnar session store
-    (:mod:`repro.serving.store`) derives its slab schema from, so slab rows,
-    snapshot segments, and ``.npz`` checkpoints all share one flattening.
+    per-family array manifest of every persisted session, so the session
+    store's snapshot segments (:mod:`repro.serving.store`) and ``.npz``
+    checkpoints share one flattening.
     """
     arrays: list = []
     return _encode(state, arrays), arrays

@@ -8,10 +8,10 @@ chunked resume, socket/shard serving) must reproduce the committed golden
 transcripts *byte for byte*. ``backend=None`` / ``backend="reference"`` run in
 this tier; nothing here may introduce a tolerance.
 
-**Relaxed tier** — an ``rtol``-gated equivalence admitting fast math backends
-(``"batched"`` numpy, ``"batched-torch"``) whose gemm/einsum contraction
-orders round differently from the scalar reference. The relaxed tier checks
-three things: regret curves, final knowledge-set geometry, and transcript
+**Relaxed tier** — an ``rtol``-gated equivalence admitting the fast
+``"batched"`` numpy backend, whose gemm/einsum contraction orders round
+differently from the scalar reference. The relaxed tier checks three
+things: regret curves, final knowledge-set geometry, and transcript
 aggregates (with an explicit — normally zero — decision-flip budget for the
 boolean columns).
 
@@ -34,7 +34,7 @@ import numpy as np
 #: Backend names running in the bit-exact tier (``None`` means "default").
 EXACT_BACKENDS = (None, "reference")
 #: Backend names admitted under the relaxed tier only.
-RELAXED_BACKENDS = ("batched", "batched-torch")
+RELAXED_BACKENDS = ("batched",)
 
 BIT_EXACT_TIER = "bit-exact"
 RELAXED_TIER = "relaxed"

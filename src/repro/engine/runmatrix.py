@@ -257,8 +257,8 @@ class RunMatrix:
 
         ``backend`` selects the math backend for every cell (see
         :mod:`repro.engine.equivalence`): ``None`` / ``"reference"`` keep the
-        bit-exact tier, ``"batched"`` / ``"batched-torch"`` run the
-        relaxed-tier block-vectorised pricer paths.  The knob reaches every
+        bit-exact tier, ``"batched"`` runs the relaxed-tier
+        block-vectorised pricer paths.  The knob reaches every
         executor, including sharded chunks and forked process workers.
 
         ``track_latency`` forces per-round timing, and with it the serial

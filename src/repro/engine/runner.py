@@ -84,8 +84,7 @@ def simulate(
     backend:
         Math-backend selector (see :mod:`repro.engine.equivalence`).
         ``None`` / ``"reference"`` stay in the bit-exact tier; ``"batched"``
-        (numpy) and ``"batched-torch"`` run relaxed-tier block-vectorised
-        pricer paths.  Unknown names raise ``ValueError`` here, before any
+        (numpy) runs relaxed-tier block-vectorised pricer paths.  Unknown names raise ``ValueError`` here, before any
         round runs.  Latency tracking forces the sequential loop regardless.
     """
     _validate_backend(backend)

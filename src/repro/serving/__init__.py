@@ -4,13 +4,13 @@ This package turns the batch simulator into a request/response pricing
 service — the paper's Section V-D *online* story (millisecond per-round quote
 latency under live arrivals) as an actual serving layer:
 
-* :mod:`repro.serving.store` — :class:`SessionStore`, the columnar state
-  backend: per-family struct-of-arrays slabs, O(1) clock-hand eviction, and
-  mmap-backed snapshot segments with a JSONL index sidecar (the legacy
-  file-per-session ``.npz`` format stays readable and is the default);
-* :mod:`repro.serving.registry` — :class:`PricerRegistry`, the session
-  facade keyed by ``(app, segment)`` that hydrates pricers from snapshots,
-  persists them on a write-behind cadence, and evicts cold sessions;
+* :mod:`repro.serving.store` — :class:`PricerRegistry`, the session
+  registry keyed by ``(app, segment)``: the live pricer is each resident
+  session's only in-memory state; the registry hydrates pricers from
+  snapshots, persists them on a write-behind cadence, and evicts cold
+  sessions with an O(1) clock hand, over mmap-backed snapshot segments with
+  a JSONL index sidecar (the legacy file-per-session ``.npz`` format stays
+  readable and is the default);
 * :mod:`repro.serving.service` — :class:`QuoteService`, a micro-batching
   quote queue that coalesces concurrent requests within a time/size window
   into columnar ``propose_batch`` calls where legal, plus the feedback path
@@ -79,7 +79,6 @@ from repro.serving.rebalance import (
     SessionRebalance,
     rebalance_live,
 )
-from repro.serving.registry import PricerRegistry, PricingSession, RegistryStats
 from repro.serving.requests import FeedbackEvent, QuoteRequest, QuoteResponse, SessionKey
 from repro.serving.resharding import (
     ReshardReport,
@@ -91,9 +90,10 @@ from repro.serving.resharding import (
 from repro.serving.service import MicroBatchConfig, QuoteService, ServiceStats
 from repro.serving.sharding import RoutingTable, ShardedRegistry, shard_of_key
 from repro.serving.store import (
-    MaterializedRows,
+    PricerRegistry,
+    PricingSession,
+    RegistryStats,
     SegmentLog,
-    SessionStore,
     export_segments_to_legacy,
     list_segment_sessions,
 )
@@ -106,7 +106,6 @@ __all__ = [
     "FrontendHandle",
     "FrontendStats",
     "LiveRebalancer",
-    "MaterializedRows",
     "MicroBatchConfig",
     "PricerRegistry",
     "PricingSession",
@@ -126,7 +125,6 @@ __all__ = [
     "SessionKey",
     "SessionMove",
     "SessionRebalance",
-    "SessionStore",
     "ShardedRegistry",
     "SyntheticFeed",
     "WIRE_V1",

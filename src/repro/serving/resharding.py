@@ -48,8 +48,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.engine import checkpoint as checkpoint_store
+from repro.engine.checkpoint import _atomic_write
 from repro.exceptions import ReshardingError
-from repro.serving.registry import SESSION_SUFFIX
+from repro.serving.store import SESSION_SUFFIX
 from repro.serving.requests import SessionKey
 from repro.serving.sharding import shard_of_key
 
@@ -432,19 +433,3 @@ def state_equal(left, right) -> bool:
             return True
         return left == right
     return type(left) is type(right) and left == right
-
-
-def _atomic_write(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    descriptor, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(descriptor, "wb") as handle:
-            handle.write(data)
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise

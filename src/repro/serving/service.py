@@ -37,7 +37,6 @@ includes queueing delay inside the window) and aggregated by the shared
 
 from __future__ import annotations
 
-import json
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
@@ -46,10 +45,12 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional
 import numpy as np
 
 from repro.core.base import BatchDecisions
+from repro.core.batched_ellipsoid import batched_cut
 from repro.core.knowledge import EllipsoidKnowledge
 from repro.core.pricing import EllipsoidPricer
+from repro.engine.equivalence import RELAXED_TIER, tier_for_backend
 from repro.exceptions import ServingError
-from repro.serving.registry import PricerRegistry, PricingSession
+from repro.serving.store import PricerRegistry, PricingSession
 from repro.serving.requests import FeedbackEvent, QuoteRequest, QuoteResponse
 from repro.utils.metrics import LatencySummary
 from repro.utils.timing import OnlineLatencyTracker
@@ -118,8 +119,6 @@ class _BatchedCutEntry:
     session: PricingSession
     pricer: EllipsoidPricer
     group_size: int
-    decision: object
-    accepted: bool
     direction: np.ndarray
     offset: float
     sign: float
@@ -145,13 +144,12 @@ class QuoteService:
     backend:
         Math-backend selector for the cross-session feedback fast path (see
         :mod:`repro.engine.equivalence`).  ``None`` / ``"reference"`` keep
-        the bit-exact per-session update loop.  ``"batched"`` (numpy) /
-        ``"batched-torch"`` settle each micro-batch window's single-cut
-        ellipsoid sessions through **one** stacked Löwner–John update over
-        their slab rows (``materialize_rows`` → stacked kernel →
-        ``scatter_rows``) — relaxed-tier semantics.  Sessions that need
-        multiple sequential cuts in one window, or use other pricer
-        families, transparently fall back to the reference loop.
+        the bit-exact per-session update loop.  ``"batched"`` settles each
+        micro-batch window's single-cut ellipsoid sessions through **one**
+        stacked Löwner–John update over their live ellipsoids —
+        relaxed-tier semantics.  Sessions that need multiple sequential
+        cuts in one window, or use other pricer families, transparently
+        fall back to the reference loop.
     """
 
     def __init__(
@@ -174,14 +172,11 @@ class QuoteService:
         self._next_quote_id = first_quote_id
         self.stats = ServiceStats()
         self.backend = backend
-        if backend in (None, "reference"):
-            self._math_backend = None
-        else:
-            # Resolve eagerly: an unknown name or a missing optional
-            # dependency (torch) fails at construction, not mid-feedback.
-            from repro.core import batched_ellipsoid
-
-            self._math_backend = batched_ellipsoid.get_backend(backend)
+        # Resolve eagerly: an unknown name fails at construction, not
+        # mid-feedback.
+        relaxed = tier_for_backend(backend) == RELAXED_TIER
+        #: The stacked cut kernel of the relaxed tier, ``None`` when exact.
+        self._math_backend = batched_cut if relaxed else None
 
     # ------------------------------------------------------------------ #
     # Quote path
@@ -322,9 +317,7 @@ class QuoteService:
         """Apply one accept/reject outcome to its session's pricer."""
         session = self._session_for_feedback(event.key)
         decision = self._settle(session, event)
-        cuts_before = getattr(session.pricer, "cuts_applied", None)
         session.pricer.update(decision, event.accepted)
-        self._note_scalar_update(session, cuts_before)
         self.registry.note_feedback(session)
         self.stats.feedback_applied += 1
 
@@ -371,7 +364,6 @@ class QuoteService:
                 pricer.update_batch(
                     batch, np.array([event.accepted for event in group], dtype=bool)
                 )
-                self.registry.mark_stale(session)
                 self.registry.note_feedback(session, count=len(group))
                 self.stats.feedback_applied += len(group)
                 continue
@@ -379,11 +371,9 @@ class QuoteService:
             if entry is not None:
                 deferred.append(entry)
                 continue
-            cuts_before = getattr(pricer, "cuts_applied", None)
             for event in group:
                 decision = self._settle(session, event)
                 pricer.update(decision, event.accepted)
-            self._note_scalar_update(session, cuts_before)
             self.registry.note_feedback(session, count=len(group))
             self.stats.feedback_applied += len(group)
         if deferred:
@@ -419,28 +409,18 @@ class QuoteService:
     # Cross-session batched feedback (relaxed tier)
     # ------------------------------------------------------------------ #
 
-    def _note_scalar_update(self, session, cuts_before) -> None:
-        """Flag the slab row stale when a scalar update changed pricer state.
-
-        Ellipsoid-family pricers expose ``cuts_applied`` — geometry changes
-        iff the counter moved, so no-op feedback stays cheap.  Pricers
-        without the counter (SGD and friends) mutate on every update; their
-        rows are flagged unconditionally.
-        """
-        if cuts_before is None or getattr(session.pricer, "cuts_applied", None) != cuts_before:
-            self.registry.mark_stale(session)
-
     def _defer_for_batched_cut(self, session, group) -> Optional["_BatchedCutEntry"]:
         """Settle one window group for the stacked update, if eligible.
 
         Eligible means: a relaxed-tier backend is configured, the session's
         pricer is an :class:`EllipsoidPricer` over ellipsoid knowledge, the
         group covers *all* of the session's in-flight quotes (so pending is
-        empty after settling — the :meth:`scatter_rows` precondition), and
-        exactly one event requires a cut.  Zero-cut groups gain nothing from
-        the kernel and multi-cut groups are order-dependent within the
-        session; both run the reference loop.  Returns ``None`` (nothing
-        settled) when ineligible.
+        empty after settling: no decision priced on the pre-cut ellipsoid
+        is still owed feedback when the stacked cut lands), and exactly one
+        event requires a cut.  Zero-cut groups gain nothing from the kernel
+        and multi-cut groups are order-dependent within the session; both
+        run the reference loop.  Returns ``None`` (nothing settled) when
+        ineligible.
         """
         if self._math_backend is None:
             return None
@@ -474,8 +454,6 @@ class QuoteService:
             session=session,
             pricer=pricer,
             group_size=len(group),
-            decision=cut_decision,
-            accepted=cut_event.accepted,
             direction=np.asarray(cut_decision.features, dtype=float),
             offset=float(offset),
             sign=sign,
@@ -486,110 +464,39 @@ class QuoteService:
         """One stacked Löwner–John update per pricer family.
 
         Each entry is one session with exactly one settled cut-requiring
-        outcome.  Per family: gather the sessions' slab rows
-        (``materialize_rows(refresh="stale")`` — only rows diverged by a
-        scalar update pay the state round-trip), run the backend's stacked
-        kernel over all of them at once, propagate each updated item's new
-        geometry and cut counters onto its live pricer directly, and write
-        the rows back through ``scatter_rows(update_pricers=False)`` (slab
-        only — the live objects are already current), patching the updated
-        skeletons' cut counters on the way.  If a family's slab rows don't
-        have the expected ``(k, n)`` / ``(k, n, n)`` layout the family falls
-        back to per-session scalar updates.
+        outcome.  A family is pricer type plus dimension over ellipsoid
+        knowledge, so its live centers and shapes stack into ``(k, n)`` /
+        ``(k, n, n)`` arrays.  Per family: stack them, run the stacked
+        kernel over all of them at once, and write each updated item's new
+        geometry and cut counters back onto its pricer.
         """
         families: "OrderedDict" = OrderedDict()
         for entry in entries:
             families.setdefault(entry.family, []).append(entry)
         for family_entries in families.values():
-            keys = [entry.session.key for entry in family_entries]
-            dimension = family_entries[0].pricer.config.dimension
-            count = len(family_entries)
-            rows = self.materialize_rows(keys, refresh="stale")
-            if (
-                len(rows.arrays) != 2
-                or rows.arrays[0].shape != (count, dimension)
-                or rows.arrays[1].shape != (count, dimension, dimension)
-            ):
-                self._scalar_cut_fallback(family_entries)
-                continue
-            directions = np.stack([entry.direction for entry in family_entries])
-            offsets = np.array([entry.offset for entry in family_entries])
-            signs = np.array([entry.sign for entry in family_entries])
-            result = self._math_backend.batched_cut(
-                rows.arrays[0], rows.arrays[1], directions, offsets, signs
+            ellipsoids = [entry.pricer.knowledge.ellipsoid for entry in family_entries]
+            result = self._math_backend(
+                np.stack([ellipsoid.center for ellipsoid in ellipsoids]),
+                np.stack([ellipsoid.shape for ellipsoid in ellipsoids]),
+                np.stack([entry.direction for entry in family_entries]),
+                np.array([entry.offset for entry in family_entries]),
+                np.array([entry.sign for entry in family_entries]),
             )
-            rows.arrays[0][...] = result.centers
-            rows.arrays[1][...] = result.shapes
             for position in np.flatnonzero(result.updated):
-                skeleton = json.loads(rows.skeletons[position])
-                skeleton["cuts_applied"] += 1
-                skeleton["knowledge"]["cut_count"] += 1
-                rows.skeletons[position] = json.dumps(
-                    skeleton, separators=(",", ":")
-                )
                 pricer = family_entries[position].pricer
-                ellipsoid = pricer.knowledge.ellipsoid
                 # The kernel re-symmetrised these rows; copies detach them
                 # from the stacked result buffer.
-                ellipsoid.center = result.centers[position].copy()
-                ellipsoid.shape = result.shapes[position].copy()
+                ellipsoids[position].center = result.centers[position].copy()
+                ellipsoids[position].shape = result.shapes[position].copy()
                 pricer.knowledge.cut_count += 1
                 pricer.cuts_applied += 1
-            self.scatter_rows(rows, update_pricers=False)
             self.stats.batched_updates += 1
-            self.stats.batched_update_sessions += count
-            # Write-behind accounting runs after the scatter, so a persist
-            # triggered here snapshots the post-cut state.
+            self.stats.batched_update_sessions += len(family_entries)
+            # Write-behind accounting runs after the write-back, so a
+            # persist triggered here snapshots the post-cut state.
             for entry in family_entries:
                 self.registry.note_feedback(entry.session, count=entry.group_size)
                 self.stats.feedback_applied += entry.group_size
-
-    def _scalar_cut_fallback(self, family_entries: List["_BatchedCutEntry"]) -> None:
-        """Reference-path updates for already-settled deferred entries."""
-        for entry in family_entries:
-            cuts_before = getattr(entry.pricer, "cuts_applied", None)
-            entry.pricer.update(entry.decision, entry.accepted)
-            self._note_scalar_update(entry.session, cuts_before)
-            self.registry.note_feedback(entry.session, count=entry.group_size)
-            self.stats.feedback_applied += entry.group_size
-
-    # ------------------------------------------------------------------ #
-    # Contiguous row slices
-    # ------------------------------------------------------------------ #
-
-    def materialize_rows(self, keys, refresh=True):
-        """Contiguous struct-of-arrays slices of same-family sessions.
-
-        The columnar hand-off between a ``submit_many`` window and the
-        engine: after the window's quotes settle, the touched sessions'
-        state can be gathered into one ``(k, ...)``-per-leaf batch
-        (:meth:`repro.serving.store.SessionStore.materialize_rows`), pushed
-        through a batched backend in a single call, and scattered back with
-        :meth:`scatter_rows` — instead of k object-protocol round trips.
-        Sessions with in-flight quotes may be materialized (it only reads
-        state), but must be settled before scattering results back.
-        """
-        return self.registry.materialize_rows(keys, refresh=refresh)
-
-    def scatter_rows(self, materialized, update_pricers: bool = True) -> int:
-        """Write materialized slices back into slab rows and live pricers.
-
-        Refuses sessions that picked up in-flight quotes since
-        :meth:`materialize_rows`: their pending decisions were priced on
-        the pre-batch state, and overwriting it would settle their feedback
-        against state they never saw.  ``update_pricers=False`` writes slab
-        rows only (the caller already propagated results onto the live
-        pricers).
-        """
-        for key in materialized.keys:
-            session = self.registry.peek(key)
-            if session is not None and session.pending:
-                raise ServingError(
-                    "cannot scatter rows onto session %s with %d in-flight "
-                    "quote(s); settle their feedback first"
-                    % (key, len(session.pending))
-                )
-        return self.registry.scatter_rows(materialized, update_pricers=update_pricers)
 
     def _session_for_feedback(self, key) -> PricingSession:
         """Resolve a feedback target without creating (or LRU-thrashing) it.

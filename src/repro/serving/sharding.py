@@ -1,7 +1,7 @@
 """Cross-process session sharding for the quote-serving subsystem.
 
 :class:`ShardedRegistry` is a router in front of *N* worker processes, each
-owning one :class:`~repro.serving.registry.PricerRegistry` plus one
+owning one :class:`~repro.serving.store.PricerRegistry` plus one
 :class:`~repro.serving.service.QuoteService`.  Session keys are placed on
 shards through a **versioned routing table**: the default placement is a
 stable (process-independent) SHA-1 hash of the key, and per-key overrides
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 import threading
 import time
 from collections import OrderedDict, deque
@@ -60,8 +59,9 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import multiprocessing
 
+from repro.engine.checkpoint import _atomic_write
 from repro.exceptions import RebalanceError, ServingError
-from repro.serving.registry import PricerRegistry
+from repro.serving.store import PricerRegistry
 from repro.serving.requests import FeedbackEvent, QuoteRequest, QuoteResponse, SessionKey
 from repro.serving.store import SNAPSHOT_FORMATS, list_segment_sessions
 from repro.serving.service import MicroBatchConfig, QuoteService
@@ -349,21 +349,6 @@ class RebalanceStats:
             "quiesce": LatencySummary.from_seconds(self.quiesce_seconds).as_dict(),
         }
 
-
-def _atomic_write_bytes(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    descriptor, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(descriptor, "wb") as handle:
-            handle.write(data)
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
 
 
 class ShardedRegistry:
@@ -1112,7 +1097,7 @@ class ShardedRegistry:
         target_path = os.path.join(
             target_handle.snapshot_dir, os.path.basename(source_path)
         )
-        _atomic_write_bytes(target_path, data)
+        _atomic_write(target_path, data)
         if verify:
             with open(target_path, "rb") as handle:
                 if handle.read() != data:

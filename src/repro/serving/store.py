@@ -1,27 +1,17 @@
-"""Columnar session store: struct-of-arrays slabs + mmap snapshot segments.
+"""Session registry: live pricers, clock-hand eviction, mmap snapshot segments.
 
-:class:`SessionStore` is the state backend behind
-:class:`repro.serving.registry.PricerRegistry`.  It replaces the
-object-per-session ``OrderedDict`` bookkeeping with three columnar pieces:
+:class:`PricerRegistry` owns every resident pricing session.  The live pricer
+is the only in-memory copy of a session's state; the registry adds two
+storage pieces around it:
 
-* **per-family state slabs** — every resident session's mutable pricer state
-  is captured into a row of a struct-of-arrays slab.  The slab schema is the
-  checkpoint subsystem's per-family array manifest
-  (:func:`repro.engine.checkpoint.flatten_state`): one *family* is a
-  ``(pricer_type, ((dtype, shape), ...))`` signature, one column per array
-  leaf, rows recycled through a free-list.  Same-family sessions therefore
-  live contiguously, which is what makes cross-session batched math natural
-  (:meth:`SessionStore.materialize_rows` / :meth:`~SessionStore.scatter_rows`
-  hand the engine contiguous ``(k, ...)`` row slices and scatter results
-  back);
 * **clock-hand eviction** — capacity enforcement sweeps a second-chance clock
-  over the resident-row ring instead of scanning an LRU list: every access
-  sets a row's reference bit, the hand clears bits as it advances, and the
-  first unreferenced, unpinned, settled row is the victim.  Each eviction is
-  O(1) amortised (every hand step either consumes a reference bit set by an
-  access or inspects a row at most twice per sweep), where the old
-  ``OrderedDict`` scan was O(resident) per eviction whenever cold exempt
-  sessions piled up at the LRU end;
+  over the resident-session ring instead of scanning an LRU list: every
+  access sets a session's reference bit, the hand clears bits as it
+  advances, and the first unreferenced, unpinned, settled session is the
+  victim.  Each eviction is O(1) amortised (every hand step either consumes
+  a reference bit set by an access or inspects a slot at most twice per
+  sweep), where an ``OrderedDict`` scan is O(resident) per eviction whenever
+  cold exempt sessions pile up at the LRU end;
 * **mmap snapshot segments** — with ``snapshot_format="segment"``, persisted
   sessions append their raw state bytes to shared segment files
   (``segments/*.seg``, many sessions per file) with a JSONL index sidecar
@@ -36,13 +26,15 @@ object-per-session ``OrderedDict`` bookkeeping with three columnar pieces:
 The legacy file-per-session ``.session.npz`` format stays fully readable —
 and is still the default — because the offline resharder and the live
 rebalancer's export path move sessions as individual checkpoint files.  A
-segment-format store hydrates from legacy files it finds (migration), and
-:meth:`SessionStore.export_session` always materialises a legacy file (and
+segment-format registry hydrates from legacy files it finds (migration), and
+:meth:`PricerRegistry.export_session` always writes a legacy file (and
 tombstones the segment record) so re-homing stays byte-exact either way.
 
-Both formats round-trip ``state_dict`` bit-identically: arrays are stored as
-raw little-endian bytes (segments) or lossless npz entries (legacy), and the
-JSON skeleton uses Python's shortest-round-trip float repr.
+Both formats round-trip ``state_dict`` bit-identically: persisting flattens
+the pricer's ``state_dict`` (:func:`repro.engine.checkpoint.flatten_state`)
+straight into the writer, arrays are stored as raw little-endian bytes
+(segments) or lossless npz entries (legacy), and the JSON skeleton uses
+Python's shortest-round-trip float repr.
 """
 
 from __future__ import annotations
@@ -52,7 +44,7 @@ import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,8 +63,8 @@ __all__ = [
     "RegistryStats",
     "SegmentRecord",
     "SegmentLog",
-    "MaterializedRows",
-    "SessionStore",
+    "SessionFactory",
+    "PricerRegistry",
     "list_segment_sessions",
     "read_segment_record",
     "export_segments_to_legacy",
@@ -142,13 +134,14 @@ class RegistryStats:
     ``created + hydrations`` (:attr:`opened`) is the number of times a
     session entered residency for the first time since its last eviction.
 
-    The store-level fields split hydrations by source
+    The remaining fields split hydrations by source
     (``zero_copy_hydrations`` from mmap segments vs ``legacy_hydrations``
     from per-session ``.npz`` files), count clock-hand work
-    (``clock_hand_steps`` / ``clock_rotations``), and gauge the columnar
-    footprint (``resident_bytes`` of occupied slab rows, ``segments`` /
-    ``segment_bytes`` on disk).  Every value is a plain summable number so
-    :meth:`ShardedRegistry.stats` can aggregate shards by key.
+    (``clock_hand_steps`` / ``clock_rotations``), and gauge the footprint
+    (``resident_bytes`` of the resident pricers' state arrays, ``segments``
+    / ``segment_bytes`` on disk) — the gauges are measured when
+    :attr:`PricerRegistry.stats` is read.  Every value is a plain summable
+    number so :meth:`ShardedRegistry.stats` can aggregate shards by key.
     """
 
     created: int = 0
@@ -166,7 +159,7 @@ class RegistryStats:
     clock_hand_steps: int = 0
     #: Full wraps of the clock hand around the resident-row ring.
     clock_rotations: int = 0
-    #: Bytes held by occupied state-slab rows (gauge, not a counter).
+    #: Bytes of the resident pricers' ``state_arrays`` (gauge, not a counter).
     resident_bytes: int = 0
     #: Segment files on disk (gauge).
     segments: int = 0
@@ -194,85 +187,6 @@ class RegistryStats:
             "segments": self.segments,
             "segment_bytes": self.segment_bytes,
         }
-
-
-# --------------------------------------------------------------------------- #
-# Per-family struct-of-arrays slabs
-# --------------------------------------------------------------------------- #
-
-#: One family = pricer type + the (dtype, shape) sequence of its array leaves
-#: in :func:`repro.engine.checkpoint.flatten_state` traversal order.
-FamilyKey = Tuple[str, Tuple[Tuple[str, Tuple[int, ...]], ...]]
-
-
-def _family_key(pricer_type: str, arrays: Sequence[np.ndarray]) -> FamilyKey:
-    leaves = tuple(
-        (np.asarray(array).dtype.str, tuple(np.asarray(array).shape))
-        for array in arrays
-    )
-    return (pricer_type, leaves)
-
-
-class FamilySlab:
-    """Struct-of-arrays storage for one family's captured session state.
-
-    One column per array leaf, shaped ``(capacity, *leaf_shape)``; a row is
-    one session's full array state plus the JSON skeleton text holding its
-    non-array scalars (round index, counters, RNG position).  Rows are
-    recycled through a free-list and capacity grows geometrically.
-    """
-
-    def __init__(self, family: FamilyKey, initial_capacity: int = 8) -> None:
-        self.family = family
-        self.capacity = max(1, int(initial_capacity))
-        self.columns: List[np.ndarray] = [
-            np.zeros((self.capacity,) + shape, dtype=np.dtype(dtype))
-            for dtype, shape in family[1]
-        ]
-        self.skeletons: List[Optional[str]] = [None] * self.capacity
-        self._free: List[int] = list(range(self.capacity - 1, -1, -1))
-        self.used = 0
-
-    @property
-    def row_nbytes(self) -> int:
-        """Array bytes held by one row (skeleton text excluded)."""
-        return int(
-            sum(
-                np.dtype(dtype).itemsize * int(np.prod(shape, dtype=np.int64))
-                for dtype, shape in self.family[1]
-            )
-        )
-
-    def _grow(self) -> None:
-        new_capacity = self.capacity * 2
-        for index, column in enumerate(self.columns):
-            grown = np.zeros((new_capacity,) + column.shape[1:], dtype=column.dtype)
-            grown[: self.capacity] = column
-            self.columns[index] = grown
-        self.skeletons.extend([None] * (new_capacity - self.capacity))
-        self._free.extend(range(new_capacity - 1, self.capacity - 1, -1))
-        self.capacity = new_capacity
-
-    def acquire(self) -> int:
-        if not self._free:
-            self._grow()
-        row = self._free.pop()
-        self.used += 1
-        return row
-
-    def release(self, row: int) -> None:
-        self.skeletons[row] = None
-        self._free.append(row)
-        self.used -= 1
-
-    def put(self, row: int, arrays: Sequence[np.ndarray], skeleton_json: str) -> None:
-        for column, array in zip(self.columns, arrays):
-            column[row, ...] = array
-        self.skeletons[row] = skeleton_json
-
-    def row_arrays(self, row: int) -> List[np.ndarray]:
-        """Views of one row's array leaves (no copy; aliases the slab)."""
-        return [column[row, ...] for column in self.columns]
 
 
 # --------------------------------------------------------------------------- #
@@ -423,15 +337,10 @@ class SegmentLog:
                     continue
         return sorted(ids)
 
-    @property
-    def segment_count(self) -> int:
-        return len(self._segment_ids())
-
-    @property
-    def total_bytes(self) -> int:
-        return int(
-            sum(os.path.getsize(self._segment_path(i)) for i in self._segment_ids())
-        )
+    def footprint(self) -> Tuple[int, int]:
+        """``(segment files, total bytes)`` on disk, from one listing."""
+        ids = self._segment_ids()
+        return len(ids), int(sum(os.path.getsize(self._segment_path(i)) for i in ids))
 
     # -- index --------------------------------------------------------- #
 
@@ -571,7 +480,7 @@ class SegmentLog:
 def list_segment_sessions(snapshot_dir: str) -> Dict[SessionKey, SegmentRecord]:
     """Live (non-tombstoned) segment-resident sessions of a snapshot dir.
 
-    Reads the index journal without instantiating a store — the rebalancer
+    Reads the index journal without instantiating a registry — the rebalancer
     and the shard-retirement check use this from the router process to see
     sessions that exist only inside another process's segment files.
     """
@@ -643,36 +552,7 @@ def export_segments_to_legacy(snapshot_dir: str) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# Materialized row slices
-# --------------------------------------------------------------------------- #
-
-
-@dataclass
-class MaterializedRows:
-    """Contiguous struct-of-arrays slices of same-family sessions.
-
-    ``arrays[i]`` stacks the ``i``-th state leaf of every requested session
-    into one C-contiguous ``(len(keys), *leaf_shape)`` array — the shape a
-    batched engine backend consumes directly.  ``skeletons`` carries each
-    session's non-array scalars so :meth:`SessionStore.scatter_rows` can
-    rebuild full state dicts when writing results back.
-    """
-
-    family: FamilyKey
-    keys: List[SessionKey]
-    arrays: List[np.ndarray]
-    skeletons: List[str]
-
-    @property
-    def pricer_type(self) -> str:
-        return self.family[0]
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-
-# --------------------------------------------------------------------------- #
-# The store
+# The registry
 # --------------------------------------------------------------------------- #
 
 
@@ -682,36 +562,54 @@ class _ResidentRow:
 
     key: SessionKey
     session: PricingSession
-    family: Optional[FamilyKey] = None
-    slab_row: int = -1
     #: Second-chance bit: set on access, cleared by the passing clock hand.
     referenced: bool = False
-    #: The live pricer's *array* state diverged from the slab copy (a scalar
-    #: update ran outside the row data path).  Set via :meth:`mark_stale`,
-    #: cleared by every capture; lets ``materialize_rows(refresh="stale")``
-    #: skip the state round-trip for rows that are already in sync.
-    stale: bool = False
 
 
-class SessionStore:
-    """Columnar session residency + snapshot backend.
+def _state_nbytes(pricer: Any) -> int:
+    """Bytes of a pricer's state arrays (``0`` without ``state_arrays``)."""
+    state_arrays = getattr(pricer, "state_arrays", None)
+    if state_arrays is None:
+        return 0
+    return int(sum(array.nbytes for array in state_arrays()))
 
-    Owns everything :class:`repro.serving.registry.PricerRegistry` used to
-    do internally — hydration, write-behind persistence, capacity
-    enforcement — plus the columnar slabs and segment snapshots described in
-    the module docstring.  The registry remains the public facade; this
-    class is its engine and the home of the row-level APIs
-    (:meth:`materialize_rows` / :meth:`scatter_rows`).
+
+class PricerRegistry:
+    """Session registry keyed by :class:`SessionKey` with bounded residency.
+
+    A *session* is one live pricer (plus its market value model) serving one
+    traffic segment; the pricer holds the session's only in-memory state.
+    The registry owns every resident session and gives the serving layer
+    three lifecycle guarantees:
+
+    * **hydration** — a session whose snapshot exists under ``snapshot_dir``
+      is rebuilt from it: the factory constructs a fresh, same-configuration
+      pricer and the checkpoint subsystem (:mod:`repro.engine.checkpoint`)
+      restores its exact state, so a restarted service continues pricing
+      bit-identically to an uninterrupted one (the same exact-resume
+      contract the offline chunked runner is pinned to);
+    * **write-behind persistence** — with ``persist_every=N``, a session's
+      state is snapshotted after every N-th feedback update (and always on
+      eviction and :meth:`flush`), bounding the feedback loss of a crash to
+      the last N updates without putting serialisation on the quote hot
+      path;
+    * **clock-hand eviction** — with ``max_sessions`` set, a cold session is
+      persisted and dropped when capacity is exceeded, chosen by a
+      second-chance clock sweep (O(1) amortised per eviction).  Sessions
+      with in-flight quotes (pending decisions awaiting feedback) are never
+      evicted — a decision object cannot be rebuilt from a snapshot.
 
     Parameters
     ----------
     factory:
-        Builds ``(model, pricer)`` for a key; hydration loads only mutable
-        state into the fresh pricer (the checkpoint contract).
+        Builds ``(model, pricer)`` for a key.  The pricer must be freshly
+        constructed with the session's configuration — hydration loads only
+        the mutable state into it (the checkpoint contract).
     snapshot_dir:
-        Snapshot directory; ``None`` disables persistence entirely.
+        Directory of session snapshots.  ``None`` disables persistence:
+        evicted sessions lose their state and hydration never happens.
     max_sessions:
-        Resident capacity; ``None`` means unbounded.
+        Resident-session capacity; ``None`` means unbounded.
     persist_every:
         Write-behind cadence in feedback updates; ``0`` persists only on
         eviction / flush.
@@ -748,8 +646,6 @@ class SessionStore:
         self._max_sessions = max_sessions
         self._persist_every = persist_every
         self.snapshot_format = snapshot_format
-        self._segment_max_bytes = int(segment_max_bytes)
-        self._slabs: Dict[FamilyKey, FamilySlab] = {}
         #: key → ring slot, insertion-ordered and moved-to-end on access so
         #: ``resident_keys`` still reports LRU → MRU (the clock hand decides
         #: *victims*; this map only preserves the observable recency order).
@@ -760,11 +656,21 @@ class SessionStore:
         self._segments: Optional[SegmentLog] = None
         if snapshot_dir is not None and snapshot_format == "segment":
             self._segments = SegmentLog(snapshot_dir, segment_max_bytes)
-        self.stats = RegistryStats()
+        self._stats = RegistryStats()
         #: Wall-clock seconds of each hydration (bench introspection: the
         #: Zipf sweep reads storm percentiles from here).
         self.hydration_seconds: List[float] = []
-        self._refresh_gauges()
+
+    @property
+    def stats(self) -> RegistryStats:
+        """The lifecycle counters, with the footprint gauges measured now."""
+        stats = self._stats
+        stats.resident_bytes = sum(
+            _state_nbytes(row.session.pricer) for row in self._ring if row is not None
+        )
+        if self._segments is not None:
+            stats.segments, stats.segment_bytes = self._segments.footprint()
+        return stats
 
     # ------------------------------------------------------------------ #
     # Lookup / residency
@@ -785,33 +691,32 @@ class SessionStore:
             return row.session
         model, pricer = self._factory(key)
         session = PricingSession(key=key, model=model, pricer=pricer)
-        state: Optional[dict] = None
+        stats = self._stats
         record = (
             self._segments.lookup(key.slug()) if self._segments is not None else None
         )
         if record is not None and record.pricer_type == type(pricer).__name__:
             started = time.perf_counter()
             views = self._segments.read_arrays(record)
-            state = checkpoint_store.unflatten_state(record.skeleton, views)
-            pricer.load_state(state)
+            pricer.load_state(checkpoint_store.unflatten_state(record.skeleton, views))
             session.hydrated = True
-            self.stats.hydrations += 1
-            self.stats.zero_copy_hydrations += 1
+            stats.hydrations += 1
+            stats.zero_copy_hydrations += 1
             self.hydration_seconds.append(time.perf_counter() - started)
         else:
             path = self.snapshot_path(key)
             if path is not None and os.path.exists(path):
                 started = time.perf_counter()
-                checkpoint = checkpoint_store.load_checkpoint(path)
-                checkpoint_store.restore_pricer(pricer, checkpoint)
-                state = checkpoint.state
+                checkpoint_store.restore_pricer(
+                    pricer, checkpoint_store.load_checkpoint(path)
+                )
                 session.hydrated = True
-                self.stats.hydrations += 1
-                self.stats.legacy_hydrations += 1
+                stats.hydrations += 1
+                stats.legacy_hydrations += 1
                 self.hydration_seconds.append(time.perf_counter() - started)
             else:
-                self.stats.created += 1
-        self._admit(session, state)
+                stats.created += 1
+        self._admit(session)
         self._enforce_capacity(protect=key)
         return session
 
@@ -822,6 +727,7 @@ class SessionStore:
 
     @property
     def resident_count(self) -> int:
+        """Number of sessions currently resident."""
         return len(self._index)
 
     @property
@@ -833,87 +739,31 @@ class SessionStore:
         return key in self._index
 
     def pin(self, key: SessionKey) -> None:
+        """Exempt a resident session from eviction until :meth:`unpin`."""
         session = self.peek(key)
         if session is None:
             raise ServingError("cannot pin session %s: not resident" % (key,))
         session.pinned = True
 
     def unpin(self, key: SessionKey) -> None:
+        """Lift a session's eviction exemption (no-op when not resident)."""
         session = self.peek(key)
         if session is not None:
             session.pinned = False
 
-    # ------------------------------------------------------------------ #
-    # Slab capture
-    # ------------------------------------------------------------------ #
-
-    def _admit(self, session: PricingSession, state: Optional[dict]) -> None:
+    def _admit(self, session: PricingSession) -> None:
         if self._ring_free:
             slot = self._ring_free.pop()
         else:
             slot = len(self._ring)
             self._ring.append(None)
-        row = _ResidentRow(key=session.key, session=session)
-        self._ring[slot] = row
+        self._ring[slot] = _ResidentRow(key=session.key, session=session)
         self._index[session.key] = slot
-        if state is None and hasattr(session.pricer, "state_dict"):
-            state = session.pricer.state_dict()
-        if state is not None:
-            # Pricers outside the checkpoint protocol (no state_dict) stay
-            # resident without a slab row — they serve, clock-evict and drop,
-            # they just cannot persist or materialize (same contract the
-            # file-per-session registry had).
-            self._capture(row, state)
-        self._refresh_gauges()
-
-    def _capture(self, row: _ResidentRow, state: dict) -> Tuple[Any, List[np.ndarray]]:
-        """Write ``state`` into the row's slab slot; returns its flattening."""
-        skeleton, arrays = checkpoint_store.flatten_state(state)
-        family = _family_key(type(row.session.pricer).__name__, arrays)
-        if row.family != family:
-            # First capture, or the state layout migrated (e.g. a polytope
-            # knowledge set gained constraint rows): move to the new slab.
-            if row.family is not None:
-                self._slabs[row.family].release(row.slab_row)
-            slab = self._slabs.get(family)
-            if slab is None:
-                slab = self._slabs[family] = FamilySlab(family)
-            row.family = family
-            row.slab_row = slab.acquire()
-        self._slabs[row.family].put(
-            row.slab_row, arrays, json.dumps(skeleton, separators=(",", ":"))
-        )
-        row.stale = False
-        return skeleton, arrays
-
-    def mark_stale(self, session: PricingSession) -> None:
-        """Flag that ``session``'s pricer mutated outside the row data path.
-
-        Scalar feedback updates change the live pricer without touching its
-        slab row; marking the row lets ``materialize_rows(refresh="stale")``
-        re-capture exactly the diverged sessions instead of all of them.
-        No-op for non-resident sessions and pricers without a slab row.
-        """
-        slot = self._index.get(session.key)
-        if slot is not None:
-            self._ring[slot].stale = True
 
     def _drop(self, key: SessionKey) -> None:
         slot = self._index.pop(key)
-        row = self._ring[slot]
-        if row.family is not None:
-            self._slabs[row.family].release(row.slab_row)
         self._ring[slot] = None
         self._ring_free.append(slot)
-        self._refresh_gauges()
-
-    def _refresh_gauges(self) -> None:
-        self.stats.resident_bytes = int(
-            sum(slab.used * slab.row_nbytes for slab in self._slabs.values())
-        )
-        if self._segments is not None:
-            self.stats.segments = self._segments.segment_count
-            self.stats.segment_bytes = self._segments.total_bytes
 
     # ------------------------------------------------------------------ #
     # Persistence
@@ -922,30 +772,23 @@ class SessionStore:
     def snapshot_path(self, key: SessionKey) -> Optional[str]:
         """The *legacy* snapshot file for ``key`` (``None`` = persistence off).
 
-        Segment-format stores still use this path for exports and migration
-        reads — it is the interchange location, not the write target.
+        Segment-format registries still use this path for exports and
+        migration reads — it is the interchange location, not the write
+        target.
         """
         if self._snapshot_dir is None:
             return None
         return os.path.join(self._snapshot_dir, "%s%s" % (key.slug(), SESSION_SUFFIX))
 
     def persist(self, session: PricingSession) -> bool:
-        """Snapshot one session to disk; returns whether anything was written.
-
-        Also re-captures the session's live state into its slab row, so the
-        columnar view, the snapshot, and the pricer agree at every persist
-        boundary.
-        """
+        """Snapshot one session to disk; returns whether anything was written."""
         if self._snapshot_dir is None:
             return False
         state = session.pricer.state_dict()
-        slot = self._index.get(session.key)
-        if slot is not None:
-            skeleton, arrays = self._capture(self._ring[slot], state)
-        else:
-            skeleton, arrays = checkpoint_store.flatten_state(state)
         meta = {"app": session.key.app, "segment": session.key.segment}
+        path = self.snapshot_path(session.key)
         if self._segments is not None:
+            skeleton, arrays = checkpoint_store.flatten_state(state)
             self._segments.append(
                 session.key,
                 type(session.pricer).__name__,
@@ -957,20 +800,18 @@ class SessionStore:
             # The segment record is now authoritative; a legacy file left
             # over from migration (or a byte-exact re-home) is stale and
             # would only confuse the stranded-snapshot checks.
-            path = self.snapshot_path(session.key)
-            if path is not None and os.path.exists(path):
+            if os.path.exists(path):
                 os.unlink(path)
-            self._refresh_gauges()
         else:
             checkpoint_store.save_state_checkpoint(
-                self.snapshot_path(session.key),
+                path,
                 type(session.pricer).__name__,
                 session.rounds_seen,
                 state,
                 meta=meta,
             )
         session.updates_since_persist = 0
-        self.stats.persists += 1
+        self._stats.persists += 1
         return True
 
     def note_feedback(self, session: PricingSession, count: int = 1) -> None:
@@ -994,10 +835,10 @@ class SessionStore:
 
         The shard-handoff exit of the online rebalancer: the state is
         written to the session's *legacy* snapshot file regardless of the
-        store's format (the router moves sessions as individual checkpoint
-        files), any segment record is tombstoned so the stale copy can
-        never shadow the handoff, and residency is released without
-        counting an eviction.
+        registry's format (the router moves sessions as individual
+        checkpoint files), any segment record is tombstoned so the stale
+        copy can never shadow the handoff, and residency is released
+        without counting an eviction.
         """
         session = self.peek(key)
         if session is None:
@@ -1019,11 +860,11 @@ class SessionStore:
             session.pricer.state_dict(),
             meta={"app": key.app, "segment": key.segment},
         )
-        self.stats.persists += 1
+        self._stats.persists += 1
         if self._segments is not None:
             self._segments.tombstone(key.slug())
         self._drop(key)
-        self.stats.exports += 1
+        self._stats.exports += 1
         return path
 
     def materialize_legacy(self, key: SessionKey) -> Optional[str]:
@@ -1031,7 +872,7 @@ class SessionStore:
 
         Resolution order mirrors hydration: a live segment record is
         rewritten as a ``.session.npz`` (and tombstoned); otherwise an
-        existing legacy file is returned as-is; ``None`` means the store
+        existing legacy file is returned as-is; ``None`` means the registry
         holds nothing for ``key``.  The sharded router's export op uses
         this to re-home sessions that were persisted to segments and then
         evicted.
@@ -1087,7 +928,7 @@ class SessionStore:
         # stays resident and the eviction can be retried.
         self.persist(session)
         self._drop(key)
-        self.stats.evictions += 1
+        self._stats.evictions += 1
         return True
 
     def _enforce_capacity(self, protect: SessionKey) -> None:
@@ -1096,7 +937,7 @@ class SessionStore:
         ``protect`` (the just-created session), pinned sessions, and
         sessions with in-flight quotes are never evicted; if the clock
         completes two full rotations without finding a victim every
-        candidate is exempt and the store temporarily exceeds capacity
+        candidate is exempt and the registry temporarily exceeds capacity
         rather than losing decisions.
         """
         if self._max_sessions is None:
@@ -1121,15 +962,16 @@ class SessionStore:
         ring = self._ring
         if not ring:
             return None
+        stats = self._stats
         budget = 2 * len(ring) + 1
         while budget > 0:
             budget -= 1
             if self._hand >= len(ring):
                 self._hand = 0
-                self.stats.clock_rotations += 1
+                stats.clock_rotations += 1
             slot = self._hand
             self._hand += 1
-            self.stats.clock_hand_steps += 1
+            stats.clock_hand_steps += 1
             row = ring[slot]
             if row is None:
                 continue
@@ -1141,112 +983,6 @@ class SessionStore:
                 continue
             return row.key
         return None
-
-    # ------------------------------------------------------------------ #
-    # Contiguous row slices
-    # ------------------------------------------------------------------ #
-
-    def materialize_rows(
-        self, keys: Sequence[SessionKey], refresh=True
-    ) -> MaterializedRows:
-        """Gather same-family sessions into contiguous struct-of-arrays.
-
-        With ``refresh=True`` (the default) each session's live pricer state
-        is re-captured into its slab row first, so the returned slices are
-        current; ``refresh=False`` returns the state as of the last capture
-        (admission or persist).  ``refresh="stale"`` re-captures only the
-        rows flagged by :meth:`mark_stale` — the cheap middle ground for
-        callers (the quote service's stacked feedback path) that flag every
-        out-of-band mutation themselves.  All keys must be resident and
-        share one family — mixing families has no contiguous representation.
-        """
-        rows: List[_ResidentRow] = []
-        for key in keys:
-            slot = self._index.get(key)
-            if slot is None:
-                raise ServingError(
-                    "cannot materialize session %s: not resident" % (key,)
-                )
-            rows.append(self._ring[slot])
-        if not rows:
-            raise ServingError("materialize_rows needs at least one session key")
-        if refresh:
-            captured = 0
-            for row in rows:
-                if refresh == "stale" and not row.stale:
-                    continue
-                self._capture(row, row.session.pricer.state_dict())
-                captured += 1
-            # A re-capture can migrate a row to a different family slab
-            # (state layout changed since the last capture), which moves
-            # row-bytes between slabs — keep resident_bytes honest.
-            if captured:
-                self._refresh_gauges()
-        family = rows[0].family
-        if family is None:
-            raise ServingError(
-                "cannot materialize session %s: its pricer does not expose "
-                "state_dict" % (rows[0].key,)
-            )
-        for row in rows[1:]:
-            if row.family != family:
-                raise ServingError(
-                    "cannot materialize sessions across families: %s vs %s"
-                    % (family[0], row.family[0] if row.family else None)
-                )
-        slab = self._slabs[family]
-        indices = np.array([row.slab_row for row in rows], dtype=np.intp)
-        # Fancy indexing gathers the selected rows into fresh C-contiguous
-        # arrays — exactly the (k, *leaf_shape) batch a backend consumes.
-        arrays = [column[indices] for column in slab.columns]
-        skeletons = [slab.skeletons[row.slab_row] for row in rows]
-        return MaterializedRows(
-            family=family, keys=list(keys), arrays=arrays, skeletons=skeletons
-        )
-
-    def scatter_rows(
-        self, materialized: MaterializedRows, update_pricers: bool = True
-    ) -> int:
-        """Write materialized slices back: slab rows *and* live pricers.
-
-        The inverse of :meth:`materialize_rows` after a batched engine step
-        mutated the stacked arrays in place.  Each session's skeleton
-        scalars are re-attached unchanged — the batched window must not
-        have advanced round counters through the object protocol in
-        between.  Returns the number of sessions updated.
-
-        ``update_pricers=False`` writes only the slab rows and skips the
-        per-session ``load_state`` rebuild — for callers that already
-        propagated the results onto the live pricers directly (the quote
-        service's stacked feedback path, which knows exactly which leaves
-        the kernel touched).
-        """
-        slab = self._slabs.get(materialized.family)
-        if slab is None:
-            raise ServingError(
-                "cannot scatter rows: family %s has no slab" % (materialized.family[0],)
-            )
-        for position, key in enumerate(materialized.keys):
-            slot = self._index.get(key)
-            if slot is None:
-                raise ServingError(
-                    "cannot scatter session %s: no longer resident" % (key,)
-                )
-            row = self._ring[slot]
-            if row.family != materialized.family:
-                raise ServingError(
-                    "cannot scatter session %s: its state layout changed" % (key,)
-                )
-            arrays = [column[position] for column in materialized.arrays]
-            slab.put(row.slab_row, arrays, materialized.skeletons[position])
-            if update_pricers:
-                state = checkpoint_store.unflatten_state(
-                    json.loads(materialized.skeletons[position]), arrays
-                )
-                row.session.pricer.load_state(state)
-        return len(materialized.keys)
-
-    # ------------------------------------------------------------------ #
 
     def close(self) -> None:
         if self._segments is not None:

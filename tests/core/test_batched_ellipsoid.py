@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import batched_ellipsoid
 from repro.core.batched_ellipsoid import (
-    BACKEND_NAMES,
-    BackendUnavailableError,
-    HAS_TORCH,
     batched_cut,
     batched_support_intervals,
     block_support_intervals,
-    get_backend,
     keep_signs,
     single_cut,
 )
@@ -214,44 +209,3 @@ class TestSupportIntervals:
         )
         assert lowers[0] == uppers[0]
         assert np.isfinite(lowers[0])
-
-
-class TestBackendRegistry:
-    def test_numpy_backend_always_available(self):
-        backend = get_backend("batched")
-        assert backend.name == "batched"
-        assert backend.batched_cut is batched_cut
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            get_backend("bogus")
-
-    def test_backend_names_cover_registry(self):
-        assert "batched" in BACKEND_NAMES
-        assert "batched-torch" in BACKEND_NAMES
-
-    @pytest.mark.skipif(HAS_TORCH, reason="torch present: unavailability not testable")
-    def test_torch_backend_unavailable_raises(self):
-        with pytest.raises(BackendUnavailableError):
-            get_backend("batched-torch")
-
-
-@pytest.mark.skipif(not HAS_TORCH, reason="torch not installed")
-class TestTorchBackend:
-    def test_torch_matches_numpy(self):
-        _, centers, shapes, directions, offsets, signs = _random_batch(24, 4, 13)
-        numpy_result = batched_cut(centers, shapes, directions, offsets, signs)
-        torch_result = batched_ellipsoid.batched_cut_torch(
-            centers, shapes, directions, offsets, signs
-        )
-        np.testing.assert_array_equal(torch_result.updated, numpy_result.updated)
-        np.testing.assert_allclose(
-            torch_result.centers, numpy_result.centers, rtol=1e-9, atol=1e-11
-        )
-        np.testing.assert_allclose(
-            torch_result.shapes, numpy_result.shapes, rtol=1e-9, atol=1e-11
-        )
-
-    def test_torch_backend_resolves(self):
-        backend = get_backend("batched-torch")
-        assert backend.name == "batched-torch"

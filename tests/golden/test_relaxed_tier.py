@@ -16,7 +16,6 @@ import pytest
 
 import golden_specs
 
-from repro.core.batched_ellipsoid import HAS_TORCH
 from repro.engine import simulate
 from repro.engine.equivalence import (
     assert_bit_exact,
@@ -28,7 +27,7 @@ from repro.engine.equivalence import (
 
 FAMILIES = sorted(golden_specs.GOLDEN_SPECS)
 
-RELAXED = ["batched"] + (["batched-torch"] if HAS_TORCH else [])
+RELAXED = ["batched"]
 
 
 def _load(family):

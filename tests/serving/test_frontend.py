@@ -127,8 +127,8 @@ def test_protocol_housekeeping_ops(tmp_path):
             assert stats["quotes_served"] == 1
             assert stats["feedback_applied"] == 1
             assert stats["registry"]["created"] == 1
-            # The columnar store's counters ride the same frame: one
-            # resident ellipsoid session holds its state in a slab row
+            # The session store's counters ride the same frame: one
+            # resident ellipsoid session holds its state in its live pricer
             # (non-zero resident bytes), no snapshot dir means no segments,
             # and the hydration split is source-exact.
             registry_stats = stats["registry"]

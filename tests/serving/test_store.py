@@ -1,5 +1,5 @@
-"""The columnar session store: golden round-trips in both snapshot formats,
-legacy → segment migration, clock-hand eviction, and row materialization.
+"""The session store: golden round-trips in both snapshot formats, legacy →
+segment migration, clock-hand eviction, and the resident footprint.
 
 The acceptance bar of the store refactor: every golden family's state must
 survive persist → evict → hydrate **bit-identically** whether the snapshot
@@ -9,9 +9,10 @@ story), and the clock hand must pick the same victims the old LRU scan did
 for plain access patterns while honouring the pinned/pending exemptions.
 """
 
-import json
+import gc
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,13 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "golden"))
 import golden_specs
 
+from repro.apps.common import ALGORITHM_VERSIONS, build_pricer_for_version
+from repro.apps.noisy_linear_query import (
+    NoisyLinearQueryConfig,
+    build_noisy_query_environment,
+)
+from repro.core.knowledge import PolytopeKnowledge
 from repro.engine import load_checkpoint, prepare, simulate, stream_rounds
-from repro.engine.checkpoint import flatten_state
-from repro.exceptions import ServingError
 from repro.serving import (
     FeedbackEvent,
     PricerRegistry,
@@ -399,185 +404,86 @@ def test_clock_skips_pinned_sessions(tmp_path):
     assert registry.resident_count <= 2
 
 
-def test_slab_rows_are_recycled_and_gauges_track_residency():
+# --------------------------------------------------------------------------- #
+# The resident footprint: one copy of each session's state
+# --------------------------------------------------------------------------- #
+
+
+def _state_bytes(pricer):
+    return sum(array.nbytes for array in pricer.state_arrays())
+
+
+def test_resident_bytes_gauge_tracks_residency():
     family = "ellipsoid-reserve"
     model, materialized, theta = _market(family)
     registry = PricerRegistry(_factory(family, model, theta), max_sessions=4)
     keys = [SessionKey("app", "r%d" % i) for i in range(4)]
     for key in keys:
         registry.session(key)
-    slabs = registry.store._slabs
-    assert len(slabs) == 1
-    (slab,) = slabs.values()
-    peak_capacity = slab.capacity
-    peak_bytes = registry.stats.resident_bytes
-    assert peak_bytes > 0
+    session_bytes = _state_bytes(registry.peek(keys[0]).pricer)
+    assert session_bytes > 0
+    assert registry.stats.resident_bytes == 4 * session_bytes
 
     for key in keys:
         assert registry.evict(key)
     assert registry.stats.resident_bytes == 0
 
-    # Re-admitting recycles freed rows: the slab never grows past its peak.
     for key in keys:
         registry.session(key)
-    assert slab.capacity == peak_capacity
-    assert registry.stats.resident_bytes == peak_bytes
+    assert registry.stats.resident_bytes == 4 * session_bytes
 
 
-# --------------------------------------------------------------------------- #
-# Contiguous row materialization
-# --------------------------------------------------------------------------- #
-
-
-def test_materialize_rows_gathers_contiguous_batches(tmp_path):
+def test_resident_bytes_follows_a_growing_state_layout():
+    """Polytope knowledge gains constraint rows as it learns: the gauge is
+    measured when read, so it follows the live state's layout."""
     family = "ellipsoid-reserve"
     model, materialized, theta = _market(family)
-    registry = PricerRegistry(_factory(family, model, theta))
-    service = QuoteService(registry)
-    keys = [SessionKey("app", "m%d" % i) for i in range(3)]
-    for i, key in enumerate(keys):
-        _drive(service, key, materialized, 0, 4 * (i + 1))
-
-    rows = service.materialize_rows(keys)
-    assert len(rows) == 3
-    assert rows.pricer_type == type(registry.session(keys[0]).pricer).__name__
-    for i, key in enumerate(keys):
-        skeleton, leaves = flatten_state(registry.session(key).pricer.state_dict())
-        assert json.loads(rows.skeletons[i]) == json.loads(json.dumps(skeleton))
-        for column, leaf in zip(rows.arrays, leaves):
-            assert column.flags["C_CONTIGUOUS"]
-            assert column.shape == (3,) + leaf.shape
-            assert np.array_equal(column[i], leaf)
-
-
-def test_scatter_rows_writes_batched_updates_back(tmp_path):
-    family = "ellipsoid-reserve"
-    model, materialized, theta = _market(family)
-    registry = PricerRegistry(_factory(family, model, theta))
-    service = QuoteService(registry)
-    keys = [SessionKey("app", "w%d" % i) for i in range(3)]
-    for key in keys:
-        _drive(service, key, materialized, 0, 8)
-
-    rows = service.materialize_rows(keys)
-    # A batched engine step over the stacked arrays: one vectorised mutation
-    # touching every session's leaves at once.
-    for column in rows.arrays:
-        column += 1.0
-    assert service.scatter_rows(rows) == 3
-
-    for i, key in enumerate(keys):
-        _skeleton, leaves = flatten_state(registry.session(key).pricer.state_dict())
-        for column, leaf in zip(rows.arrays, leaves):
-            assert np.array_equal(column[i], leaf)
-
-    # And the write-back is durable through a snapshot round-trip.
-    expected = registry.session(keys[0]).pricer.state_dict()
-    registry2 = PricerRegistry(
-        _factory(family, model, theta), snapshot_dir=str(tmp_path)
-    )
-    session = registry2.session(keys[0])
-    session.pricer.load_state(expected)
-    registry2.flush()
-    assert registry2.evict(keys[0])
-    assert state_equal(registry2.session(keys[0]).pricer.state_dict(), expected)
-
-
-def test_materialize_rows_rejects_mixed_families_and_cold_keys():
-    family = "ellipsoid-reserve"
-    model_e, materialized, theta_e = _market(family)
-    model_f, _mat_f, theta_f = _market("fixed-price")
-
-    def factory(key):
-        if key.segment.startswith("fixed"):
-            return model_f, golden_specs.build_pricer("fixed-price", theta_f)
-        return model_e, golden_specs.build_pricer(family, theta_e)
-
-    registry = PricerRegistry(factory)
-    key_e = SessionKey("app", "ellipsoid")
-    key_f = SessionKey("app", "fixed")
-    registry.session(key_e)
-    registry.session(key_f)
-    with pytest.raises(ServingError):
-        registry.materialize_rows([key_e, key_f])
-    with pytest.raises(ServingError):
-        registry.materialize_rows([SessionKey("app", "never-seen")])
-    with pytest.raises(ServingError):
-        registry.materialize_rows([])
-
-
-def test_service_scatter_refuses_sessions_with_pending_quotes():
-    family = "ellipsoid-reserve"
-    model, materialized, theta = _market(family)
-    registry = PricerRegistry(_factory(family, model, theta))
-    service = QuoteService(registry)
-    key = SessionKey("app", "inflight")
-    _drive(service, key, materialized, 0, 4)
-    rows = service.materialize_rows([key])
-
-    round_ = next(iter(stream_rounds(materialized, 4, 5)))
-    response = service.quote(
-        QuoteRequest(key=key, features=round_.features, reserve=round_.reserve)
-    )
-    with pytest.raises(ServingError):
-        service.scatter_rows(rows)
-    service.feedback(
-        FeedbackEvent(key=key, quote_id=response.quote_id, accepted=False)
-    )
-
-
-def test_materialize_rows_without_refresh_leaves_accounting_untouched():
-    """A read-only materialize must not perturb stats, gauges, or clock bits."""
-    family = "ellipsoid-reserve"
-    model, materialized, theta = _market(family)
-    registry = PricerRegistry(_factory(family, model, theta))
-    service = QuoteService(registry)
-    keys = [SessionKey("app", "acct%d" % i) for i in range(3)]
-    for key in keys:
-        _drive(service, key, materialized, 0, 4)
-
-    store = registry.store
-    stats_before = registry.stats.as_dict()
-    bits_before = [row.referenced for row in store._ring if row is not None]
-    hand_before = store._hand
-
-    rows = service.materialize_rows(keys, refresh=False)
-    assert len(rows) == 3
-
-    assert registry.stats.as_dict() == stats_before
-    assert [row.referenced for row in store._ring if row is not None] == bits_before
-    assert store._hand == hand_before
-    stats = registry.stats
-    assert stats.opened == stats.created + stats.hydrations
-
-
-def test_materialize_refresh_keeps_resident_bytes_gauge_fresh():
-    """A refresh-capture that migrates a row between family slabs (the state
-    layout grew) must leave ``resident_bytes`` equal to the recomputed sum."""
-    family = "ellipsoid-reserve"
-    model, materialized, theta = _market(family)
+    dimension = theta.shape[0]
 
     def factory(key):
         pricer = golden_specs.build_pricer(family, theta)
-        pricer.knowledge = __import__(
-            "repro.core.knowledge", fromlist=["PolytopeKnowledge"]
-        ).PolytopeKnowledge.from_radius(theta.shape[0], 2.0 * np.sqrt(theta.shape[0]))
+        pricer.knowledge = PolytopeKnowledge.from_radius(
+            dimension, 2.0 * np.sqrt(dimension)
+        )
         return model, pricer
 
     registry = PricerRegistry(factory)
     service = QuoteService(registry)
     key = SessionKey("app", "grower")
     _drive(service, key, materialized, 0, 2)
-
-    # Growing the constraint set changes the flattened array shapes, so the
-    # refresh-capture inside materialize_rows migrates the row to a new
-    # family slab.
+    before = registry.stats.resident_bytes
     _drive(service, key, materialized, 2, 6)
-    rows = registry.materialize_rows([key], refresh=True)
-    assert len(rows) == 1
+    after = registry.stats.resident_bytes
+    assert after > before
+    assert after == _state_bytes(registry.peek(key).pricer)
 
-    store = registry.store
-    recomputed = int(
-        sum(slab.used * slab.row_nbytes for slab in store._slabs.values())
+
+def test_each_resident_session_holds_one_copy_of_its_state():
+    """Admission keeps no in-memory copy of a session's state besides the
+    pricer's own: each of 1,024 resident fig4 sessions (n = 20) traces
+    under twice its state-array bytes, which a second copy alone would
+    reach."""
+    environment = build_noisy_query_environment(
+        NoisyLinearQueryConfig(dimension=20, rounds=64, owner_count=40, seed=7)
     )
-    assert registry.stats.resident_bytes == recomputed
+    version = list(ALGORITHM_VERSIONS)[0]
+    registry = PricerRegistry(
+        lambda key: (environment.model, build_pricer_for_version(environment, version))
+    )
+    keys = [SessionKey("fig4", "s%04d" % index) for index in range(1024)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for key in keys:
+            registry.session(key)
+        gc.collect()
+        traced_per_session = (tracemalloc.get_traced_memory()[0] - before) / len(keys)
+    finally:
+        tracemalloc.stop()
+    state_bytes = registry.stats.resident_bytes / len(keys)
+    assert state_bytes == 3360  # center (20,) + shape (20, 20), float64
+    assert traced_per_session < 2 * state_bytes, (
+        "%.0f traced bytes per resident session, %.2fx its %d state bytes"
+        % (traced_per_session, traced_per_session / state_bytes, state_bytes)
+    )
