@@ -32,7 +32,7 @@ from repro.engine import ArrivalBatch
 from repro.learning.encoding import ListingFeaturizer
 from repro.learning.linear_regression import LinearRegression, train_test_split
 from repro.learning.metrics import mean_squared_error
-from repro.market.features import row_dots
+from repro.utils.linalg import row_dots
 from repro.utils.rng import spawn_rngs
 
 

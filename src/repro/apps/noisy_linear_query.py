@@ -33,10 +33,11 @@ from repro.core.pricing import PricerConfig
 from repro.core.simulation import SimulationResult
 from repro.datasets.synthetic_ratings import generate_ratings
 from repro.engine import ArrivalBatch
-from repro.market.features import CompensationFeatureExtractor, row_dots
+from repro.market.features import CompensationFeatureExtractor
 from repro.market.owners import OwnerPopulation
 from repro.market.privacy import LeakageQuantifier
 from repro.market.queries import QueryGenerator
+from repro.utils.linalg import row_dots
 from repro.utils.rng import spawn_rngs
 
 

@@ -207,7 +207,7 @@ class PostedPriceMechanism(abc.ABC):
         :meth:`run_batch`.
         """
 
-    def run_batch(self, model, materialized, transcript, backend=None) -> bool:
+    def run_batch(self, model, materialized, transcript) -> bool:
         """Optionally run a whole horizon with a pricer-specific fast path.
 
         Parameters
@@ -223,15 +223,10 @@ class PostedPriceMechanism(abc.ABC):
             A :class:`repro.engine.transcript.Transcript` whose decision
             columns (``link_prices``, ``posted_prices``, ``sold``, ``skipped``,
             ``exploratory``) the pricer must fill for every round.
-        backend:
-            Math-backend selector.  ``None`` / ``"reference"`` require the
-            bit-exact tier: the implementation must be element-wise identical
-            to the sequential propose/update loop, including internal
-            counters.  The relaxed-tier backend name ``"batched"`` (see
-            :mod:`repro.engine.equivalence`) permits implementations that
-            round differently but agree under the relaxed tolerance
-            policies.  Pricers without a matching fast path
-            ignore the knob and fall back to their reference behaviour.
+
+        The run must be element-wise identical to the sequential
+        propose/update loop, internal counters included (the bit-exact tier
+        of :mod:`repro.engine.equivalence`).
 
         Returns ``True`` when the pricer handled the run, or ``False`` to
         request the engine's generic loop fallback.

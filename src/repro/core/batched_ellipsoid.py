@@ -9,18 +9,19 @@ degenerate-direction clamp, the no-op range ``α < -1/n``, the skip range
 ``α > 1`` and the point-collapse at ``α = 1``.
 
 These numpy functions (``einsum``/broadcast arithmetic) are the
-``backend="batched"`` math: one stacked update replaces ``k`` Python-level
-cut calls.  They round differently than the scalar reference path
-(``einsum``/gemm contraction order vs. per-round ``x @ A @ x``), so results
-are admitted under the **relaxed** equivalence tier
-(:mod:`repro.engine.equivalence`), never the bit-exact golden tier.
+``backend="batched"`` math of serving's stacked cross-session feedback: one
+stacked update replaces ``k`` Python-level cut calls.  They round
+differently than the scalar reference path (``einsum``/gemm contraction
+order vs. per-round ``x @ A @ x``), so results are admitted under the
+**relaxed** equivalence tier (:mod:`repro.engine.equivalence`), never the
+bit-exact golden tier.  The offline engine's bit-exact block path uses
+:meth:`repro.core.ellipsoid.Ellipsoid.support_intervals` instead.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -114,31 +115,12 @@ def batched_support_intervals(
     return middles - half_widths, middles + half_widths
 
 
-def block_support_intervals(
-    center: np.ndarray, shape: np.ndarray, features: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Support intervals of **one** ellipsoid along ``r`` feature directions.
-
-    The engine's conservative-tail block primitive: between two applied cuts
-    the knowledge ellipsoid is constant, so a whole block of rounds can be
-    bounded with one gemm-backed contraction instead of ``r`` Python-level
-    matrix–vector products.
-    """
-    raw = features @ shape  # one gemm for the whole block
-    gains = np.einsum("ri,ri->r", raw, features)
-    np.maximum(gains, 0.0, out=gains)
-    half_widths = np.sqrt(gains)
-    middles = features @ center
-    return middles - half_widths, middles + half_widths
-
-
 def batched_cut(
     centers: np.ndarray,
     shapes: np.ndarray,
     directions: np.ndarray,
     offsets: np.ndarray,
     signs: np.ndarray,
-    validate: bool = True,
 ) -> BatchedCutResult:
     """One stacked Löwner–John cut over ``k`` ellipsoids (numpy).
 
@@ -153,15 +135,10 @@ def batched_cut(
       positive-definite shape;
     * otherwise — the Grötschel–Lovász–Schrijver deep/shallow-cut formulas,
       re-symmetrised.
-
-    ``validate=False`` skips the dtype/shape validation pass for trusted
-    internal callers (the engine's per-cut hot path) — inputs must already be
-    C-contiguous float arrays of the documented shapes.
     """
-    if validate:
-        centers, shapes, directions, offsets, signs = _validate_batch(
-            centers, shapes, directions, offsets, signs
-        )
+    centers, shapes, directions, offsets, signs = _validate_batch(
+        centers, shapes, directions, offsets, signs
+    )
     count, dimension = centers.shape
 
     raw = np.matmul(shapes, directions[:, :, None])[:, :, 0]  # A x per item
@@ -206,37 +183,3 @@ def batched_cut(
     return BatchedCutResult(
         centers=new_centers, shapes=new_shapes, alphas=alphas, updated=~noop
     )
-
-
-def single_cut(
-    center: np.ndarray,
-    shape: np.ndarray,
-    direction: np.ndarray,
-    offset: float,
-    sign: float,
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Scalar twin of :func:`batched_cut` for the engine's k=1 hot path.
-
-    Returns ``(new_center, new_shape)`` (fresh arrays, re-symmetrised) when
-    the cut changes the ellipsoid, or ``None`` for every no-op outcome —
-    degenerate direction, shallow-cut no-op, inconsistent skip.  Inputs must
-    already be float arrays of matching dimension; nothing is validated.
-    """
-    dimension = center.shape[0]
-    raw = shape @ direction  # A x
-    gain = float(raw @ direction)  # x^T A x
-    if not gain >= _DEGENERATE_GAIN:
-        return None
-    root = math.sqrt(gain)
-    alpha = sign * (float(direction @ center) - offset) / root
-    if alpha < -1.0 / dimension - _ALPHA_TOLERANCE or alpha > 1.0 + _ALPHA_TOLERANCE:
-        return None
-    boundary = raw / root
-    if alpha >= 1.0:
-        tiny = 1e-18 * float(np.trace(shape)) / dimension
-        return center - sign * boundary, tiny * np.eye(dimension)
-    scale = dimension**2 * (1.0 - alpha**2) / (dimension**2 - 1.0)
-    rank_one = 2.0 * (1.0 + dimension * alpha) / ((dimension + 1.0) * (1.0 + alpha))
-    shaped = scale * (shape - rank_one * np.outer(boundary, boundary))
-    step = ((1.0 + dimension * alpha) / (dimension + 1.0)) * sign
-    return center - step * boundary, 0.5 * (shaped + shaped.T)

@@ -90,7 +90,7 @@ def cut_position(ellipsoid: Ellipsoid, direction, offset: float, keep: str) -> f
     """
     direction = ensure_vector(direction, dimension=ellipsoid.dimension, name="direction")
     offset = ensure_finite_scalar(offset, name="offset")
-    gain = ellipsoid.direction_gain(direction)
+    gain = ellipsoid._gain(direction)
     if not gain >= _DEGENERATE_GAIN:
         # ``not >=`` also catches NaN.  A denormal positive gain would pass a
         # plain ``> 0`` check and then overflow ``1 / sqrt(gain)``, emitting
@@ -98,12 +98,17 @@ def cut_position(ellipsoid: Ellipsoid, direction, offset: float, keep: str) -> f
         raise InvalidCutError(
             "cut direction has a degenerate support width (x^T A x = %g)" % gain
         )
-    signed = (float(direction @ ellipsoid.center) - offset) / math.sqrt(gain)
-    if keep == "leq":
-        return signed
-    if keep == "geq":
-        return -signed
-    raise ValueError("keep must be 'leq' or 'geq', got %r" % keep)
+    if keep not in ("leq", "geq"):
+        raise ValueError("keep must be 'leq' or 'geq', got %r" % keep)
+    return _position(ellipsoid, direction, offset, keep, math.sqrt(gain))
+
+
+def _position(
+    ellipsoid: Ellipsoid, direction: np.ndarray, offset: float, keep: str, root: float
+) -> float:
+    """:func:`cut_position` on checked inputs, with ``root = sqrt(x^T A x)``."""
+    signed = (float(direction @ ellipsoid.center) - offset) / root
+    return signed if keep == "leq" else -signed
 
 
 def loewner_john_cut(
@@ -139,9 +144,14 @@ def loewner_john_cut(
     CutResult
         The updated ellipsoid together with the cut's position parameter and
         classification.
+
+    The inputs are validated once, here; ``x^T A x`` is computed once and
+    shared by the position parameter and the boundary vector, through the
+    unchecked kernels behind :func:`cut_position` and
+    :meth:`Ellipsoid.boundary_vector`.
     """
-    direction = ensure_vector(direction, dimension=ellipsoid.dimension, name="direction")
     dimension = ellipsoid.dimension
+    direction = ensure_vector(direction, dimension=dimension, name="direction")
     if dimension < 2:
         raise InvalidCutError(
             "Löwner–John updates require dimension >= 2; use IntervalKnowledge for n = 1"
@@ -150,7 +160,7 @@ def loewner_john_cut(
         raise ValueError("on_infeasible must be 'raise', 'skip', or 'clamp', got %r" % on_infeasible)
     if keep not in ("leq", "geq"):
         raise ValueError("keep must be 'leq' or 'geq', got %r" % keep)
-    gain = ellipsoid.direction_gain(direction)
+    gain = ellipsoid._gain(direction)
     if not gain >= _DEGENERATE_GAIN:
         # Degenerate direction: zero, denormal, or NaN support width.  The
         # ellipsoid carries no information along such a direction, so in the
@@ -163,7 +173,9 @@ def loewner_john_cut(
         return CutResult(
             ellipsoid=ellipsoid, alpha=float("nan"), kind=CutKind.NOOP, updated=False
         )
-    alpha = cut_position(ellipsoid, direction, offset, keep)
+    offset = ensure_finite_scalar(offset, name="offset")
+    root = math.sqrt(gain)
+    alpha = _position(ellipsoid, direction, offset, keep, root)
 
     if alpha > 1.0 + _ALPHA_TOLERANCE:
         if on_infeasible == "raise":
@@ -179,7 +191,7 @@ def loewner_john_cut(
         return CutResult(ellipsoid=ellipsoid, alpha=alpha, kind=kind, updated=False)
 
     sign = 1.0 if keep == "leq" else -1.0
-    boundary = ellipsoid.boundary_vector(direction)
+    boundary = ellipsoid._boundary(direction, root)
     updated = _apply_cut_formulas(ellipsoid, boundary, alpha, sign)
     return CutResult(ellipsoid=updated, alpha=alpha, kind=kind, updated=True)
 
@@ -191,7 +203,8 @@ def _apply_cut_formulas(
 
     ``sign=+1`` corresponds to keeping ``{x^T θ <= offset}`` (the paper's
     rejection branch, Lines 16–17); ``sign=-1`` to keeping ``{x^T θ >= offset}``
-    (the acceptance branch, Line 21), which is the mirrored formula.
+    (the acceptance branch, Line 21), which is the mirrored formula.  The new
+    shape is symmetric by construction, so the result is wrapped unchecked.
     """
     dimension = ellipsoid.dimension
     if alpha >= 1.0:
@@ -201,14 +214,15 @@ def _apply_cut_formulas(
         new_center = ellipsoid.center - sign * boundary
         tiny = 1e-18 * np.trace(ellipsoid.shape) / dimension
         new_shape = tiny * np.eye(dimension)
-        return Ellipsoid(new_center, new_shape, validate=False)
+        return Ellipsoid.trusted(new_center, new_shape)
 
     scale = dimension**2 * (1.0 - alpha**2) / (dimension**2 - 1.0)
     rank_one_coefficient = 2.0 * (1.0 + dimension * alpha) / ((dimension + 1.0) * (1.0 + alpha))
     new_shape = scale * (ellipsoid.shape - rank_one_coefficient * np.outer(boundary, boundary))
     new_center = ellipsoid.center - sign * ((1.0 + dimension * alpha) / (dimension + 1.0)) * boundary
+    # 0.5 * (S + S^T) is exactly symmetric: both triangles add the same pair.
     new_shape = 0.5 * (new_shape + new_shape.T)
-    return Ellipsoid(new_center, new_shape, validate=False)
+    return Ellipsoid.trusted(new_center, new_shape)
 
 
 def volume_ratio_upper_bound(alpha: float, dimension: int) -> float:

@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import DimensionMismatchError, NotPositiveDefiniteError
+from repro.utils.linalg import row_dots
 from repro.utils.rng import RngLike, as_rng
 from repro.utils.validation import ensure_square_matrix, ensure_vector
 
@@ -51,20 +52,19 @@ class Ellipsoid:
     center:
         The center ``c`` (length-``n`` vector).
     shape:
-        The shape matrix ``A`` (symmetric positive definite ``n x n``).
-    validate:
-        When true (default) the shape matrix is checked for symmetry and
-        positive definiteness.
+        The shape matrix ``A`` (symmetric positive definite ``n x n``); it is
+        symmetrised and checked for positive definiteness.
+
+    :meth:`trusted` wraps arrays that already hold these invariants.
     """
 
-    def __init__(self, center, shape, validate: bool = True) -> None:
+    def __init__(self, center, shape) -> None:
         self.center = ensure_vector(center, name="center")
         self.shape = ensure_square_matrix(shape, dimension=self.center.shape[0], name="shape")
         # Keep the stored matrix exactly symmetric; repeated rank-one updates
         # otherwise accumulate asymmetry that breaks eigenvalue routines.
         self.shape = 0.5 * (self.shape + self.shape.T)
-        if validate:
-            self._check_positive_definite()
+        self._check_positive_definite()
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -96,9 +96,22 @@ class Ellipsoid:
             raise ValueError("box must have at least one non-zero corner")
         return cls.ball(lower.shape[0], radius)
 
+    @classmethod
+    def trusted(cls, center: np.ndarray, shape: np.ndarray) -> "Ellipsoid":
+        """Wrap a finite float center and an exactly symmetric shape as-is.
+
+        For arrays that already satisfy the invariants ``__init__`` enforces,
+        such as the output of a Löwner–John update or a validated checkpoint:
+        nothing is converted, checked or re-symmetrised.
+        """
+        ellipsoid = cls.__new__(cls)
+        ellipsoid.center = center
+        ellipsoid.shape = shape
+        return ellipsoid
+
     def copy(self) -> "Ellipsoid":
         """An independent copy of this ellipsoid."""
-        return Ellipsoid(self.center.copy(), self.shape.copy(), validate=False)
+        return Ellipsoid.trusted(self.center.copy(), self.shape.copy())
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -164,17 +177,28 @@ class Ellipsoid:
     def direction_gain(self, direction) -> float:
         """The scalar ``x^T A x`` for a direction ``x`` (must be non-negative)."""
         direction = ensure_vector(direction, dimension=self.dimension, name="direction")
-        return float(direction @ self.shape @ direction)
+        return self._gain(direction)
 
     def boundary_vector(self, direction) -> np.ndarray:
         """The vector ``b = A x / sqrt(x^T A x)`` used in Algorithms 1 and 2."""
         direction = ensure_vector(direction, dimension=self.dimension, name="direction")
-        gain = self.direction_gain(direction)
+        gain = self._gain(direction)
         if not gain >= _DEGENERATE_GAIN:
             raise ValueError(
                 "direction must have a non-degenerate support width (x^T A x = %g)" % gain
             )
-        return (self.shape @ direction) / math.sqrt(gain)
+        return self._boundary(direction, math.sqrt(gain))
+
+    # The two kernels below take a checked finite length-n float ``direction``;
+    # the Löwner–John cut, which validates its direction once, calls them too.
+
+    def _gain(self, direction: np.ndarray) -> float:
+        """``x^T A x``, unchecked."""
+        return float(direction @ self.shape @ direction)
+
+    def _boundary(self, direction: np.ndarray, root: float) -> np.ndarray:
+        """``b = A x / root`` with ``root = sqrt(x^T A x)``, unchecked."""
+        return (self.shape @ direction) / root
 
     def support_interval(self, direction) -> Tuple[float, float]:
         """Minimum and maximum of ``x^T θ`` over the ellipsoid.
@@ -183,7 +207,7 @@ class Ellipsoid:
         ``p̲_t = x^T (c - b)`` and ``p̄_t = x^T (c + b)``.
         """
         direction = ensure_vector(direction, dimension=self.dimension, name="direction")
-        gain = self.direction_gain(direction)
+        gain = self._gain(direction)
         if not gain >= _DEGENERATE_GAIN:
             # Numerical noise can produce a tiny negative value for a PSD
             # matrix, and a zero/denormal direction a degenerate width; both
@@ -192,6 +216,20 @@ class Ellipsoid:
         half_width = math.sqrt(gain)
         middle = float(direction @ self.center)
         return middle - half_width, middle + half_width
+
+    def support_intervals(self, features: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`support_interval` along every row of a ``(rounds, n)`` block.
+
+        Rounds exactly like the scalar method row by row: ``x^T A x`` is one
+        gemv and one dot per row and ``x^T c`` one dot per row, through
+        stacked matmuls (a gemm over the block rounds differently).  Nothing
+        is validated; ``features`` must be a finite float matrix.
+        """
+        gains = row_dots(np.matmul(features[:, None, :], self.shape)[:, 0, :], features)
+        gains = np.where(gains >= _DEGENERATE_GAIN, gains, 0.0)
+        half_widths = np.sqrt(gains)
+        middles = row_dots(features, self.center)
+        return middles - half_widths, middles + half_widths
 
     def width_along(self, direction) -> float:
         """Width ``p̄_t - p̲_t = 2 sqrt(x^T A x)`` along ``direction``."""

@@ -17,14 +17,14 @@ Three representations of the resulting knowledge set are provided:
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.cuts import CutKind, CutResult, loewner_john_cut
+from repro.core.cuts import loewner_john_cut
 from repro.core.ellipsoid import Ellipsoid
 from repro.exceptions import DimensionMismatchError
-from repro.utils.validation import ensure_finite_scalar, ensure_vector
+from repro.utils.validation import ensure_finite_scalar, ensure_square_matrix, ensure_vector
 
 
 class KnowledgeSet(abc.ABC):
@@ -173,7 +173,6 @@ class EllipsoidKnowledge(KnowledgeSet):
             )
         self.ellipsoid = ellipsoid
         self.cut_count = 0
-        self.last_cut: Optional[CutResult] = None
 
     @classmethod
     def from_radius(cls, dimension: int, radius: float) -> "EllipsoidKnowledge":
@@ -189,7 +188,6 @@ class EllipsoidKnowledge(KnowledgeSet):
 
     def cut(self, direction, offset: float, keep: str, on_infeasible: str = "skip") -> bool:
         result = loewner_john_cut(self.ellipsoid, direction, offset, keep, on_infeasible=on_infeasible)
-        self.last_cut = result
         if result.updated:
             self.ellipsoid = result.ellipsoid
             self.cut_count += 1
@@ -202,8 +200,6 @@ class EllipsoidKnowledge(KnowledgeSet):
         return tuple(self.ellipsoid.state_arrays())
 
     def state_dict(self) -> dict:
-        # ``last_cut`` is diagnostic-only (never read by propose/update) and
-        # is deliberately not part of the resumable state.
         return {
             "kind": "ellipsoid",
             "center": self.ellipsoid.center.copy(),
@@ -213,19 +209,20 @@ class EllipsoidKnowledge(KnowledgeSet):
 
     def load_state(self, state: dict) -> None:
         self._require_kind(state, "ellipsoid")
-        center = np.asarray(state["center"], dtype=float)
-        shape = np.asarray(state["shape"], dtype=float)
+        center = ensure_vector(state["center"], name="center")
         if center.shape[0] != self.dimension:
             raise DimensionMismatchError(
                 "ellipsoid state has dimension %d, expected %d"
                 % (center.shape[0], self.dimension)
             )
-        # The stored shape matrix is already exactly symmetric, so the
-        # constructor's re-symmetrisation 0.5 * (S + S^T) is a bit-exact no-op
-        # and the restored ellipsoid reproduces the snapshot verbatim.
-        self.ellipsoid = Ellipsoid(center.copy(), shape.copy(), validate=False)
+        shape = ensure_square_matrix(state["shape"], dimension=self.dimension, name="shape")
+        # The checks of Ellipsoid.__init__ bar the positive-definiteness test:
+        # a snapshot must restore whatever its conditioning (a cut at
+        # alpha = 1 leaves 1e-18-scale axes).  The stored shape is already
+        # exactly symmetric, so 0.5 * (S + S^T) is a bit-exact no-op and the
+        # restored ellipsoid reproduces the snapshot verbatim.
+        self.ellipsoid = Ellipsoid.trusted(center.copy(), 0.5 * (shape + shape.T))
         self.cut_count = int(state["cut_count"])
-        self.last_cut = None
 
     def volume(self) -> float:
         """Volume of the current ellipsoid."""

@@ -140,9 +140,7 @@ class OneDimensionalPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
     # Columnar engine fast path
     # ------------------------------------------------------------------ #
 
-    def run_batch(self, model, materialized, transcript, backend=None) -> bool:
-        # The interval update is O(1) scalar arithmetic — there is no stacked
-        # kernel to gain from, so every backend runs the reference path.
+    def run_batch(self, model, materialized, transcript) -> bool:
         """Whole-horizon loop with the exact per-round arithmetic of
         propose/update (interval bounds, bisection prices, interval cuts),
         minus the per-round validation and decision allocation."""

@@ -30,8 +30,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.base import KnowledgePricerStateMixin, PostedPriceMechanism, PricingDecision
-from repro.core.batched_ellipsoid import block_support_intervals, single_cut
-from repro.core.ellipsoid import _DEGENERATE_GAIN, Ellipsoid
 from repro.core.knowledge import EllipsoidKnowledge, KnowledgeSet, PolytopeKnowledge
 from repro.utils.validation import ensure_finite_scalar, ensure_positive, ensure_vector
 
@@ -230,234 +228,102 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
     # Columnar engine fast path
     # ------------------------------------------------------------------ #
 
-    def run_batch(self, model, materialized, transcript, backend=None) -> bool:
-        """Run a whole horizon with the per-round arithmetic of propose/update.
+    #: Cap on the rows priced per block.  After a cut the next block is twice
+    #: the rows since the previous cut, and it doubles across cut-free blocks:
+    #: the rows priced past a cut and thrown away stay in proportion to the
+    #: rows kept, whatever the dimension, and a cut-free tail takes a few
+    #: long blocks.
+    _BLOCK_MAX = 4096
 
-        With ``backend=None`` (or ``"reference"``) the loop body performs
-        exactly the floating-point operations of :meth:`propose` (the support
-        interval ``x^T c ± sqrt(x^T A x)``) and :meth:`update` (the
-        Löwner–John cut), in the same order — only the per-round input
-        validation and :class:`PricingDecision` allocation are elided — so
-        seeded transcripts are bit-identical to the sequential loop.  Internal
-        counters (`exploratory_rounds`, `cuts_applied`, ...) are maintained
-        exactly as in the sequential path.
+    def run_batch(self, model, materialized, transcript) -> bool:
+        """Run a whole horizon in blocks of rounds between knowledge cuts.
 
-        With the relaxed-tier ``backend="batched"`` the run is
-        block-vectorised through the stacked primitives of
-        :mod:`repro.core.batched_ellipsoid`: the knowledge ellipsoid is
-        constant between applied cuts, so whole blocks of support intervals
-        collapse into one gemm-backed contraction — the conservative tail,
-        where cuts never happen, becomes a handful of array passes.  The
-        result is held to the relaxed equivalence tier
-        (:mod:`repro.engine.equivalence`), not byte-identity.
+        The ellipsoid changes only on applied cuts, so between two of them a
+        block of rounds is decided in array passes: support intervals
+        (:meth:`Ellipsoid.support_intervals`, which round like the scalar
+        products of :meth:`propose`), skip and exploratory flags, prices and
+        sales.  The first cut candidate that changes the ellipsoid goes
+        through the scalar :meth:`EllipsoidKnowledge.cut`; the block is
+        committed up to it and the walk restarts after it.  Every expression
+        is that of :meth:`propose`/:meth:`update` (Python's ``max(a, b)`` is
+        ``np.where(b > a, b, a)``, signed zeros included), so transcripts and
+        counters are bit-identical to the sequential loop.  After a cut the
+        next block is twice the rows since the previous cut; it doubles over
+        cut-free blocks up to :attr:`_BLOCK_MAX`.
+
+        Polytope knowledge returns ``False``: the engine's loop then drives
+        :meth:`propose`/:meth:`update`.
         """
         config = self.config
+        knowledge = self.knowledge
         features = materialized.mapped_features
+        if not isinstance(knowledge, EllipsoidKnowledge):
+            return False
         if features.shape[1] != config.dimension:
             return False  # let the generic loop raise the usual dimension error
         if not np.all(np.isfinite(features)):
             return False
-        if backend not in (None, "reference"):
-            return self._run_batch_backend(model, materialized, transcript)
-        knowledge = self.knowledge
-        fast_ellipsoid = isinstance(knowledge, EllipsoidKnowledge)
-        use_reserve = config.use_reserve
-        delta = config.delta
-        epsilon = config.epsilon
-        allow_conservative_cuts = config.allow_conservative_cuts
-        link_reserves = materialized.link_reserves
-        market_values = materialized.market_values
-        identity_link = getattr(model, "link_is_identity", False)
-        link = model.link
-        link_prices = transcript.link_prices
-        posted_prices = transcript.posted_prices
-        sold_column = transcript.sold
-        skipped_column = transcript.skipped
-        exploratory_column = transcript.exploratory
-        sqrt = math.sqrt
-        isnan = math.isnan
-        rounds = features.shape[0]
-        skipped_rounds = exploratory_rounds = conservative_rounds = cuts_applied = 0
-        if fast_ellipsoid:
-            ellipsoid = knowledge.ellipsoid
-            shape, center = ellipsoid.shape, ellipsoid.center
-        for index in range(rounds):
-            x = features[index]
-            if fast_ellipsoid:
-                # Inlined Ellipsoid.support_interval (same expressions,
-                # including the degenerate-gain clamp).
-                gain = float(x @ shape @ x)
-                if not gain >= _DEGENERATE_GAIN:
-                    gain = 0.0
-                half_width = sqrt(gain)
-                middle = float(x @ center)
-                lower = middle - half_width
-                upper = middle + half_width
-            else:
-                lower, upper = knowledge.value_bounds(x)
-            if use_reserve:
-                reserve = link_reserves[index]
-                effective_reserve = _NEGATIVE_INFINITY if isnan(reserve) else reserve
-            else:
-                effective_reserve = _NEGATIVE_INFINITY
-            if effective_reserve >= upper + delta:
-                skipped_rounds += 1
-                skipped_column[index] = True
-                continue
-            width = upper - lower
-            if width > epsilon:
-                price = max(effective_reserve, 0.5 * (lower + upper))
-                exploratory = True
-                exploratory_rounds += 1
-            else:
-                price = max(effective_reserve, lower - delta)
-                exploratory = False
-                conservative_rounds += 1
-            posted = price if identity_link else link(float(price))
-            accepted = posted <= market_values[index]
-            link_prices[index] = price
-            posted_prices[index] = posted
-            sold_column[index] = accepted
-            exploratory_column[index] = exploratory
-            if (exploratory or allow_conservative_cuts) and width > 1e-12:
-                if accepted:
-                    changed = knowledge.cut(x, price - delta, keep="geq")
-                else:
-                    changed = knowledge.cut(x, price + delta, keep="leq")
-                if changed:
-                    cuts_applied += 1
-                    if fast_ellipsoid:
-                        ellipsoid = knowledge.ellipsoid
-                        shape, center = ellipsoid.shape, ellipsoid.center
-        self.skipped_rounds += skipped_rounds
-        self.exploratory_rounds += exploratory_rounds
-        self.conservative_rounds += conservative_rounds
-        self.cuts_applied += cuts_applied
-        self.advance_rounds(rounds)
-        return True
-
-    #: Initial block size of the backend path; doubled after every cut-free
-    #: block (galloping), so a cut-free conservative tail costs O(log T)
-    #: array passes while an exploration-heavy prefix wastes at most one
-    #: small block of speculative support intervals per applied cut.
-    _BACKEND_BLOCK_START = 64
-    _BACKEND_BLOCK_MAX = 65536
-
-    def _run_batch_backend(self, model, materialized, transcript) -> bool:
-        """Block-vectorised horizon via the relaxed-tier stacked primitives.
-
-        Between two *applied* cuts the knowledge ellipsoid is constant, so
-        every decision in between depends only on the stacked support
-        intervals — one backend contraction per block.  Blocks are scanned in
-        round order for the first cut candidate that actually changes the
-        ellipsoid (no-op cuts — degenerate directions, out-of-range α — leave
-        it unchanged, exactly as in the scalar path); the block's decided
-        prefix is committed, the cut is applied through the scalar twin of
-        the stacked kernel, and the walk resumes after it.
-        """
-        knowledge = self.knowledge
-        if not isinstance(knowledge, EllipsoidKnowledge):
-            # Polytope knowledge has no stacked kernel; reference semantics.
-            return self.run_batch(model, materialized, transcript)
-
-        config = self.config
-        features = materialized.mapped_features
-        market_values = materialized.market_values
-        link_reserves = materialized.link_reserves
-        use_reserve = config.use_reserve
         delta = config.delta
         epsilon = config.epsilon
         allow_conservative_cuts = config.allow_conservative_cuts
         identity_link = getattr(model, "link_is_identity", False)
+        market_values = materialized.market_values
         rounds = features.shape[0]
-
-        link_prices = transcript.link_prices
-        posted_prices = transcript.posted_prices
-        sold_column = transcript.sold
-        skipped_column = transcript.skipped
-        exploratory_column = transcript.exploratory
-
-        # Hoisted per-horizon invariant: effective reserves (NaN = absent).
-        if use_reserve:
-            effective_all = np.where(
-                np.isnan(link_reserves), _NEGATIVE_INFINITY, link_reserves
-            )
+        if config.use_reserve:
+            reserves = materialized.link_reserves
+            effective_reserves = np.where(np.isnan(reserves), _NEGATIVE_INFINITY, reserves)
         else:
-            effective_all = np.full(rounds, _NEGATIVE_INFINITY)
+            effective_reserves = np.full(rounds, _NEGATIVE_INFINITY)
 
-        skipped_rounds = exploratory_rounds = conservative_rounds = cuts_applied = 0
-        start = 0
-        block_size = self._BACKEND_BLOCK_START
+        skipped_rounds = exploratory_rounds = cuts_applied = 0
+        start = previous_cut = 0
+        block_size = 1
         while start < rounds:
             stop = min(rounds, start + block_size)
             block = features[start:stop]
-            ellipsoid = knowledge.ellipsoid
-            lower, upper = block_support_intervals(
-                ellipsoid.center, ellipsoid.shape, block
-            )
-            effective = effective_all[start:stop]
-            skipped = effective >= upper + delta
-            width = upper - lower
+            lower, upper = knowledge.ellipsoid.support_intervals(block)
+            reserve = effective_reserves[start:stop]
+            skipped = reserve >= upper + delta
             active = ~skipped
+            width = upper - lower
             exploratory = active & (width > epsilon)
-            price = np.where(
-                exploratory,
-                np.maximum(effective, 0.5 * (lower + upper)),
-                np.maximum(effective, lower - delta),
-            )
-            # The reference loop never evaluates the link on skipped rounds;
-            # zero out their placeholder prices so a non-linear link cannot
-            # overflow on values that are never posted.
-            safe_price = price if identity_link else np.where(active, price, 0.0)
-            posted = safe_price if identity_link else model.link_batch(safe_price)
-            accepted = active & (posted <= market_values[start:stop])
-
-            # First cut candidate that actually changes the ellipsoid.
+            anchor = np.where(exploratory, 0.5 * (lower + upper), lower - delta)
+            price = np.where(anchor > reserve, anchor, reserve)
             candidates = active & (width > 1e-12)
             if not allow_conservative_cuts:
                 candidates &= exploratory
+
             limit = stop - start
-            applied = False
-            for offset_index in np.flatnonzero(candidates):
-                j = int(offset_index)
-                if accepted[j]:
-                    cut_offset, sign = price[j] - delta, -1.0  # keep 'geq'
+            block_size = min(2 * block_size, self._BLOCK_MAX)
+            for index in np.flatnonzero(candidates):
+                posted = price[index] if identity_link else model.link(float(price[index]))
+                if posted <= market_values[start + index]:
+                    changed = knowledge.cut(block[index], price[index] - delta, keep="geq")
                 else:
-                    cut_offset, sign = price[j] + delta, 1.0  # keep 'leq'
-                updated = single_cut(
-                    ellipsoid.center, ellipsoid.shape, block[j], cut_offset, sign
-                )
-                if updated is not None:
-                    # The kernel re-symmetrises and returns fresh arrays, so
-                    # the in-place swap skips Ellipsoid.__init__ revalidation.
-                    ellipsoid.center, ellipsoid.shape = updated
-                    knowledge.cut_count += 1
+                    changed = knowledge.cut(block[index], price[index] + delta, keep="leq")
+                if changed:
                     cuts_applied += 1
-                    limit = j + 1
-                    applied = True
+                    limit = index + 1
+                    block_size = min(2 * (start + limit - previous_cut), self._BLOCK_MAX)
+                    previous_cut = start + limit
                     break
 
-            prefix = slice(start, start + limit)
+            segment = slice(start, start + limit)
             live = active[:limit]
-            live_rows = start + np.flatnonzero(live)
-            link_prices[live_rows] = price[:limit][live]
-            posted_prices[live_rows] = posted[:limit][live]
-            sold_column[prefix] = accepted[:limit]
-            skipped_column[prefix] = skipped[:limit]
-            exploratory_column[prefix] = exploratory[:limit]
+            price = price[:limit]
+            posted = price if identity_link else model.link_batch(np.where(live, price, np.nan))
+            transcript.link_prices[segment][live] = price[live]
+            transcript.posted_prices[segment][live] = posted[live]
+            transcript.sold[segment] = live & (posted <= market_values[segment])
+            transcript.skipped[segment] = skipped[:limit]
+            transcript.exploratory[segment] = exploratory[:limit]
             skipped_rounds += int(np.count_nonzero(skipped[:limit]))
             exploratory_rounds += int(np.count_nonzero(exploratory[:limit]))
-            conservative_rounds += int(np.count_nonzero(live & ~exploratory[:limit]))
             start += limit
-            block_size = (
-                self._BACKEND_BLOCK_START
-                if applied
-                else min(block_size * 2, self._BACKEND_BLOCK_MAX)
-            )
 
         self.skipped_rounds += skipped_rounds
         self.exploratory_rounds += exploratory_rounds
-        self.conservative_rounds += conservative_rounds
+        self.conservative_rounds += rounds - skipped_rounds - exploratory_rounds
         self.cuts_applied += cuts_applied
         self.advance_rounds(rounds)
         return True

@@ -113,8 +113,7 @@ class SGDContextualPricer(PostedPriceMechanism):
     # Columnar engine fast path
     # ------------------------------------------------------------------ #
 
-    def run_batch(self, model, materialized, transcript, backend=None) -> bool:
-        # The SGD step is already vectorised per round; backends are a no-op.
+    def run_batch(self, model, materialized, transcript) -> bool:
         """Whole-horizon run for the weakly-stateful SGD pricer.
 
         The price depends on the running estimate, which depends on feedback,

@@ -8,12 +8,21 @@ re-application of the feature map for every pricer dominated the wall-clock.
 pricers (the four algorithm versions, the baselines, every cell of a run
 matrix) replay the identical market from shared arrays.
 
-Exactness contract: all per-round model quantities (feature map, link value,
-market value, link-space reserve) are computed with the *same scalar calls* the
-sequential reference loop makes, in the same round order.  This is what makes
-the batched engine transcript bit-identical to the legacy loop — vectorised
-BLAS/exp kernels are not guaranteed to round identically to their scalar
-counterparts, so they are deliberately not used here.
+Exactness contract: every per-round model quantity (feature map, link value,
+market value, link-space reserve) rounds exactly like the scalar call the
+sequential reference loop makes for that round.  This is what makes the
+batched engine transcript bit-identical to the legacy loop:
+
+* link values are :func:`~repro.utils.linalg.row_dots` over C-ordered mapped
+  features — one BLAS dot per contiguous row, as in the loop; a gemv over the
+  block, or strided rows, round differently;
+* market values go through ``model.link_batch``, which applies the scalar
+  ``link`` per element (identity links copy);
+* link-space reserves are copied for identity links and translated with the
+  scalar ``link_inverse`` per present reserve otherwise.
+
+Vectorised ``exp``/``log`` kernels are not guaranteed to round like
+``math.exp``/``math.log``, so no link function is vectorised here.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.engine.records import QueryArrival
+from repro.utils.linalg import row_dots
 from repro.utils.rng import RngLike, as_rng
 
 
@@ -273,24 +283,19 @@ def materialize(model, batch: ArrivalBatch) -> MaterializedArrivals:
         raise ValueError(
             "cannot materialize a batch with missing noise; call with_noise() first"
         )
+    # C order: per-row products round by stride, here and in the pricers'
+    # block paths, and the reference loop works on contiguous rows.
+    mapped = np.ascontiguousarray(model.feature_map_batch(batch.features))
     rounds = len(batch)
-    mapped = model.feature_map_batch(batch.features)
-    theta = model.theta
-    link_values = np.empty(rounds)
-    market_values = np.empty(rounds)
-    noise = batch.noise
-    # Scalar per-round arithmetic, identical to the sequential reference loop
-    # (vectorised dot products / link kernels do not round identically).
-    for index in range(rounds):
-        link_value = float(mapped[index] @ theta)
-        link_values[index] = link_value
-        market_values[index] = model.link(link_value + noise[index])
-    link_reserves = np.full(rounds, np.nan)
+    link_values = row_dots(mapped, model.theta) if rounds else np.empty(0)
+    market_values = model.link_batch(link_values + batch.noise)
     reserve_values = batch.reserve_values
-    for index in range(rounds):
-        reserve = reserve_values[index]
-        if not np.isnan(reserve):
-            link_reserves[index] = model.link_inverse(reserve)
+    if getattr(model, "link_is_identity", False):
+        link_reserves = reserve_values.copy()
+    else:
+        link_reserves = np.full(rounds, np.nan)
+        for index in np.flatnonzero(~np.isnan(reserve_values)):
+            link_reserves[index] = model.link_inverse(reserve_values[index])
     return MaterializedArrivals(
         batch=batch,
         mapped_features=mapped,

@@ -10,7 +10,10 @@ this tier; nothing here may introduce a tolerance.
 
 **Relaxed tier** — an ``rtol``-gated equivalence admitting the fast
 ``"batched"`` numpy backend, whose gemm/einsum contraction orders round
-differently from the scalar reference. The relaxed tier checks three
+differently from the scalar reference.  Its one relaxed path is serving's
+stacked cross-session feedback; the offline engine runs its bit-exact
+paths under every backend name, which satisfies the relaxed tier a
+fortiori.  The relaxed tier checks three
 things: regret curves, final knowledge-set geometry, and transcript
 aggregates (with an explicit — normally zero — decision-flip budget for the
 boolean columns).

@@ -255,11 +255,9 @@ class RunMatrix:
     ) -> RunMatrixResult:
         """Execute every declared cell and return the result grid.
 
-        ``backend`` selects the math backend for every cell (see
-        :mod:`repro.engine.equivalence`): ``None`` / ``"reference"`` keep the
-        bit-exact tier, ``"batched"`` runs the relaxed-tier
-        block-vectorised pricer paths.  The knob reaches every
-        executor, including sharded chunks and forked process workers.
+        ``backend`` is validated up front (see
+        :mod:`repro.engine.equivalence`); the engine's pricer paths are
+        bit-exact under every name, so it changes no cell's result.
 
         ``track_latency`` forces per-round timing, and with it the serial
         executor: the per-round wall-clock the paper reports (Section V-D)
@@ -401,7 +399,6 @@ class RunMatrix:
                             start,
                             stop,
                             blob,
-                            backend,
                         ),
                         rounds_of=lambda cell: prepared[cell.scenario][1].rounds,
                         transcript_for=lambda cell: Transcript.for_materialized(
@@ -776,9 +773,9 @@ def _run_chunk_in_worker(
         raise RuntimeError(
             "run-matrix worker state %r missing (not forked from run()?)" % token
         )
-    prepared, factories, _track_latency, backend = state
+    prepared, factories, _track_latency, _backend = state
     return _run_chunk(
-        prepared[cell.scenario], factories[cell.pricer], cell, start, stop, state_blob, backend
+        prepared[cell.scenario], factories[cell.pricer], cell, start, stop, state_blob
     )
 
 
@@ -789,7 +786,6 @@ def _run_chunk(
     start: int,
     stop: int,
     state_blob: Optional[bytes],
-    backend: Optional[str] = None,
 ):
     """Run rounds ``[start, stop)`` of one cell from a serialised snapshot.
 
@@ -808,7 +804,7 @@ def _run_chunk(
             pricer.load_state(checkpoint_store.deserialize_state(state_blob))
         chunk = materialized.slice(start, stop)
         transcript = Transcript.for_materialized(chunk)
-        _dispatch(scenario.model, pricer, chunk, transcript, backend=backend)
+        _dispatch(scenario.model, pricer, chunk, transcript)
         columns = {name: getattr(transcript, name) for name in _DECISION_COLUMNS}
         return columns, checkpoint_store.serialize_state(pricer.state_dict()), type(pricer).__name__
     except Exception as exc:

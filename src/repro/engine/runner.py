@@ -8,8 +8,9 @@ dispatched in order:
    baselines) decide the whole horizon in one ``propose_batch`` call; sales
    and feedback are then computed as array operations.
 2. **Pricer fast path** — learning pricers whose ``run_batch`` hook returns
-   ``True`` (the ellipsoid, one-dimensional, and SGD pricers) run a lean loop
-   with the exact per-round arithmetic of propose/update.
+   ``True``: the ellipsoid pricer prices the rounds between two knowledge
+   cuts as array passes, the one-dimensional and SGD pricers run a lean
+   loop; both with the exact arithmetic of propose/update.
 3. **Loop fallback** — any other pricer is driven through the classic
    propose/update object protocol, identical to the legacy sequential
    simulator, writing straight into transcript columns.
@@ -83,9 +84,10 @@ def simulate(
         executor.
     backend:
         Math-backend selector (see :mod:`repro.engine.equivalence`).
-        ``None`` / ``"reference"`` stay in the bit-exact tier; ``"batched"``
-        (numpy) runs relaxed-tier block-vectorised pricer paths.  Unknown names raise ``ValueError`` here, before any
-        round runs.  Latency tracking forces the sequential loop regardless.
+        Every name runs the same bit-exact pricer paths here; ``"batched"``
+        only changes serving's stacked feedback.  Unknown names raise
+        ``ValueError`` here, before any round runs.  Latency tracking forces
+        the sequential loop regardless.
     """
     _validate_backend(backend)
     if materialized is None:
@@ -98,7 +100,7 @@ def simulate(
     if track_latency:
         _run_loop(model, pricer, materialized, transcript, latency=latency)
     else:
-        _dispatch(model, pricer, materialized, transcript, backend=backend)
+        _dispatch(model, pricer, materialized, transcript)
 
     transcript.finalize_regrets()
     return SimulationResult(
@@ -213,7 +215,7 @@ def run_batch_chunked(
         stop = min(start + chunk_size, rounds)
         chunk = materialized.slice(start, stop)
         chunk_transcript = Transcript.for_materialized(chunk)
-        _dispatch(model, pricer, chunk, chunk_transcript, backend=backend)
+        _dispatch(model, pricer, chunk, chunk_transcript)
         for name in _DECISION_COLUMNS:
             getattr(transcript, name)[start:stop] = getattr(chunk_transcript, name)
         start = stop
@@ -279,17 +281,11 @@ def _validate_backend(backend: Optional[str]) -> None:
     tier_for_backend(backend)  # raises ValueError on unknown names
 
 
-def _dispatch(
-    model,
-    pricer,
-    materialized: MaterializedArrivals,
-    transcript: Transcript,
-    backend: Optional[str] = None,
-) -> None:
+def _dispatch(model, pricer, materialized: MaterializedArrivals, transcript: Transcript) -> None:
     """Strategy dispatch shared by :func:`simulate` and the chunked runner."""
     if getattr(pricer, "supports_batch_propose", False):
         _run_vectorized(model, pricer, materialized, transcript)
-    elif not pricer.run_batch(model, materialized, transcript, backend=backend):
+    elif not pricer.run_batch(model, materialized, transcript):
         _run_loop(model, pricer, materialized, transcript, latency=None)
 
 

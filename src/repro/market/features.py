@@ -20,19 +20,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from repro.exceptions import DimensionMismatchError
+from repro.utils.linalg import row_dots
 from repro.utils.validation import ensure_finite_array
-
-
-def row_dots(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Dot product of each row of ``left`` with ``right`` (a vector or a
-    row-aligned matrix), rounded exactly like one 1-D ``ndarray.dot`` per row.
-
-    A stacked ``(k, 1, n) @ (k, n, 1)`` matmul reduces each row with the
-    same BLAS dot kernel a 1-D product calls; ``left @ vector`` (gemv) and
-    ``einsum`` accumulate in other orders and do not round alike.
-    """
-    right = right[:, None] if right.ndim == 1 else right[:, :, None]
-    return np.matmul(left[:, None, :], right)[:, 0, 0]
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,7 @@ import pytest
 from repro.core.batched_ellipsoid import (
     batched_cut,
     batched_support_intervals,
-    block_support_intervals,
     keep_signs,
-    single_cut,
 )
 from repro.core.cuts import loewner_john_cut
 from repro.core.ellipsoid import Ellipsoid, random_ellipsoid
@@ -87,57 +85,6 @@ class TestBatchedCutMatchesScalar:
         np.testing.assert_array_equal(shapes, shapes_before)
 
 
-class TestSingleCut:
-    """The scalar k=1 fast path mirrors batched_cut item-wise."""
-
-    @pytest.mark.parametrize("dimension", [2, 4, 6])
-    @pytest.mark.parametrize("seed", [1, 4])
-    def test_matches_batched_kernel(self, dimension, seed):
-        _, centers, shapes, directions, offsets, signs = _random_batch(
-            30, dimension, seed
-        )
-        batch = batched_cut(centers, shapes, directions, offsets, signs)
-        for index in range(len(centers)):
-            scalar = single_cut(
-                centers[index],
-                shapes[index],
-                directions[index],
-                float(offsets[index]),
-                float(signs[index]),
-            )
-            if not batch.updated[index]:
-                assert scalar is None
-                continue
-            assert scalar is not None
-            new_center, new_shape = scalar
-            np.testing.assert_allclose(
-                new_center, batch.centers[index], rtol=1e-12, atol=1e-14
-            )
-            np.testing.assert_allclose(
-                new_shape, batch.shapes[index], rtol=1e-12, atol=1e-14
-            )
-            np.testing.assert_array_equal(new_shape, new_shape.T)
-
-    def test_degenerate_direction_is_none(self):
-        ellipsoid = random_ellipsoid(4, seed=17)
-        assert single_cut(ellipsoid.center, ellipsoid.shape, np.zeros(4), 0.1, 1.0) is None
-        denormal = np.full(4, 1e-170)
-        assert (
-            single_cut(ellipsoid.center, ellipsoid.shape, denormal, 0.1, 1.0) is None
-        )
-
-    def test_inputs_not_mutated(self):
-        ellipsoid = random_ellipsoid(3, seed=9)
-        center = ellipsoid.center.copy()
-        shape = ellipsoid.shape.copy()
-        direction = np.array([1.0, -0.5, 0.25])
-        middle = float(direction @ center)
-        result = single_cut(center, shape, direction, middle, 1.0)
-        assert result is not None
-        np.testing.assert_array_equal(center, ellipsoid.center)
-        np.testing.assert_array_equal(shape, ellipsoid.shape)
-
-
 class TestDegenerateDirections:
     def test_zero_direction_is_noop_not_nan(self):
         ellipsoid = random_ellipsoid(4, seed=11)
@@ -183,16 +130,18 @@ class TestDegenerateDirections:
 
 class TestSupportIntervals:
     def test_block_matches_scalar_support(self):
+        """The block support intervals equal the scalar ones bit for bit,
+        for C- and Fortran-ordered blocks (rows round by stride)."""
         ellipsoid = random_ellipsoid(5, seed=3)
         rng = np.random.default_rng(3)
-        features = rng.standard_normal((32, 5))
-        lowers, uppers = block_support_intervals(
-            ellipsoid.center, ellipsoid.shape, features
-        )
-        for index, row in enumerate(features):
-            lo, hi = ellipsoid.support_interval(row)
-            assert lowers[index] == pytest.approx(lo, rel=1e-10, abs=1e-12)
-            assert uppers[index] == pytest.approx(hi, rel=1e-10, abs=1e-12)
+        for order in ("C", "F"):
+            features = np.asarray(rng.standard_normal((32, 5)), order=order)
+            features[0] = 0.0
+            features[1] = 1e-158
+            lowers, uppers = ellipsoid.support_intervals(features)
+            expected = np.array([ellipsoid.support_interval(row) for row in features])
+            np.testing.assert_array_equal(lowers, expected[:, 0])
+            np.testing.assert_array_equal(uppers, expected[:, 1])
 
     def test_batched_matches_scalar_support(self):
         ellipsoids, centers, shapes, directions, _, _ = _random_batch(16, 4, 9)
@@ -204,8 +153,5 @@ class TestSupportIntervals:
 
     def test_degenerate_direction_zero_width(self):
         ellipsoid = random_ellipsoid(3, seed=8)
-        lowers, uppers = block_support_intervals(
-            ellipsoid.center, ellipsoid.shape, np.zeros((1, 3))
-        )
-        assert lowers[0] == uppers[0]
-        assert np.isfinite(lowers[0])
+        lowers, uppers = ellipsoid.support_intervals(np.zeros((1, 3)))
+        assert lowers[0] == uppers[0] == 0.0
