@@ -8,9 +8,9 @@ pricer's ``update``, the serving feedback path) uses — including the
 degenerate-direction clamp, the no-op range ``α < -1/n``, the skip range
 ``α > 1`` and the point-collapse at ``α = 1``.
 
-These numpy functions (``einsum``/broadcast arithmetic) are the
+This numpy kernel (``einsum``/broadcast arithmetic) is the
 ``backend="batched"`` math of serving's stacked cross-session feedback: one
-stacked update replaces ``k`` Python-level cut calls.  They round
+stacked update replaces ``k`` Python-level cut calls.  It rounds
 differently than the scalar reference path (``einsum``/gemm contraction
 order vs. per-round ``x @ A @ x``), so results are admitted under the
 **relaxed** equivalence tier (:mod:`repro.engine.equivalence`), never the
@@ -21,31 +21,10 @@ bit-exact golden tier.  The offline engine's bit-exact block path uses
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from repro.core.cuts import _ALPHA_TOLERANCE, _DEGENERATE_GAIN
-
-
-def keep_signs(keep) -> np.ndarray:
-    """Map per-item ``'leq'``/``'geq'`` keep modes to the cut-formula signs.
-
-    ``+1`` keeps ``{θ : x^T θ <= offset}`` (rejection feedback), ``-1`` keeps
-    ``{θ : x^T θ >= offset}`` (acceptance feedback) — the same convention as
-    the scalar :func:`~repro.core.cuts.loewner_john_cut`.
-    """
-    if isinstance(keep, str):
-        keep = [keep]
-    signs = np.empty(len(keep), dtype=float)
-    for index, mode in enumerate(keep):
-        if mode == "leq":
-            signs[index] = 1.0
-        elif mode == "geq":
-            signs[index] = -1.0
-        else:
-            raise ValueError("keep must be 'leq' or 'geq', got %r" % (mode,))
-    return signs
 
 
 @dataclass
@@ -96,23 +75,6 @@ def _validate_batch(centers, shapes, directions, offsets, signs):
     if not np.all(np.abs(signs) == 1.0):
         raise ValueError("keep signs must be +1 (leq) or -1 (geq)")
     return centers, shapes, directions, offsets, signs
-
-
-def batched_support_intervals(
-    centers: np.ndarray, shapes: np.ndarray, directions: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Support intervals ``x^T c ± sqrt(x^T A x)`` for ``k`` (ellipsoid, direction) pairs.
-
-    All inputs are stacked along axis 0; returns ``(lower, upper)`` length-k
-    vectors.  Negative gains from numerical noise are clamped to zero, like
-    the scalar :meth:`Ellipsoid.support_interval`.
-    """
-    raw = np.matmul(shapes, directions[:, :, None])[:, :, 0]  # A x, batched gemm
-    gains = np.einsum("ki,ki->k", raw, directions)
-    np.maximum(gains, 0.0, out=gains)
-    half_widths = np.sqrt(gains)
-    middles = np.einsum("ki,ki->k", directions, centers)
-    return middles - half_widths, middles + half_widths
 
 
 def batched_cut(

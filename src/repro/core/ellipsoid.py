@@ -72,12 +72,25 @@ class Ellipsoid:
 
     @classmethod
     def ball(cls, dimension: int, radius: float, center=None) -> "Ellipsoid":
-        """A ball of the given ``radius``; the paper's initial knowledge set ``E_1``."""
+        """A ball of the given ``radius``; the paper's initial knowledge set ``E_1``.
+
+        The origin-centered ball ``r² I`` is wrapped with :meth:`trusted`
+        when ``__init__`` would keep it bit for bit: ``r²`` and the
+        symmetrising sum ``2 r²`` are finite, and ``r²`` (every eigenvalue)
+        clears the positive-definiteness tolerance.  Any other radius, and an
+        explicit ``center``, goes through ``__init__`` and fails there.
+        """
         if radius <= 0:
             raise ValueError("radius must be positive, got %g" % radius)
-        if center is None:
+        origin = center is None
+        if origin:
             center = np.zeros(dimension)
-        return cls(center, (radius**2) * np.eye(dimension))
+        shape = (radius**2) * np.eye(dimension)
+        if origin and shape.size and shape.dtype == np.float64:
+            squared = float(shape[0, 0])
+            if math.isfinite(2.0 * squared) and squared > _PD_TOLERANCE * max(1.0, squared):
+                return cls.trusted(center, shape)
+        return cls(center, shape)
 
     @classmethod
     def enclosing_box(cls, lower, upper) -> "Ellipsoid":
@@ -189,8 +202,18 @@ class Ellipsoid:
             )
         return self._boundary(direction, math.sqrt(gain))
 
-    # The two kernels below take a checked finite length-n float ``direction``;
-    # the Löwner–John cut, which validates its direction once, calls them too.
+    def support_interval(self, direction) -> Tuple[float, float]:
+        """Minimum and maximum of ``x^T θ`` over the ellipsoid.
+
+        These are the paper's lower and upper bounds on the market value,
+        ``p̲_t = x^T (c - b)`` and ``p̄_t = x^T (c + b)``.
+        """
+        direction = ensure_vector(direction, dimension=self.dimension, name="direction")
+        return self._support(direction)
+
+    # The kernels below take a checked finite length-n float ``direction``.
+    # ``propose`` (through its knowledge set) and the Löwner–John cut, which
+    # validate their direction once, call them instead of the checked methods.
 
     def _gain(self, direction: np.ndarray) -> float:
         """``x^T A x``, unchecked."""
@@ -200,13 +223,8 @@ class Ellipsoid:
         """``b = A x / root`` with ``root = sqrt(x^T A x)``, unchecked."""
         return (self.shape @ direction) / root
 
-    def support_interval(self, direction) -> Tuple[float, float]:
-        """Minimum and maximum of ``x^T θ`` over the ellipsoid.
-
-        These are the paper's lower and upper bounds on the market value,
-        ``p̲_t = x^T (c - b)`` and ``p̄_t = x^T (c + b)``.
-        """
-        direction = ensure_vector(direction, dimension=self.dimension, name="direction")
+    def _support(self, direction: np.ndarray) -> Tuple[float, float]:
+        """:meth:`support_interval`, unchecked."""
         gain = self._gain(direction)
         if not gain >= _DEGENERATE_GAIN:
             # Numerical noise can produce a tiny negative value for a PSD

@@ -39,6 +39,14 @@ class KnowledgeSet(abc.ABC):
     def value_bounds(self, direction) -> Tuple[float, float]:
         """Lower and upper bounds on ``x^T θ`` over the knowledge set."""
 
+    def _bounds(self, direction) -> Tuple[float, float]:
+        """:meth:`value_bounds` for a direction its caller has checked.
+
+        The pricers' ``propose`` validates its features once and calls this;
+        each representation here overrides it with its unchecked kernel.
+        """
+        return self.value_bounds(direction)
+
     @abc.abstractmethod
     def cut(self, direction, offset: float, keep: str) -> bool:
         """Intersect with ``{θ : x^T θ <= offset}`` (``keep='leq'``) or ``>=``.
@@ -108,7 +116,9 @@ class IntervalKnowledge(KnowledgeSet):
         return self.upper - self.lower
 
     def value_bounds(self, direction) -> Tuple[float, float]:
-        scalar = _as_scalar_direction(direction)
+        return self._bounds(_as_scalar_direction(direction))
+
+    def _bounds(self, scalar: float) -> Tuple[float, float]:
         lo = scalar * self.lower
         hi = scalar * self.upper
         return (min(lo, hi), max(lo, hi))
@@ -185,6 +195,9 @@ class EllipsoidKnowledge(KnowledgeSet):
 
     def value_bounds(self, direction) -> Tuple[float, float]:
         return self.ellipsoid.support_interval(direction)
+
+    def _bounds(self, direction: np.ndarray) -> Tuple[float, float]:
+        return self.ellipsoid._support(direction)
 
     def cut(self, direction, offset: float, keep: str, on_infeasible: str = "skip") -> bool:
         result = loewner_john_cut(self.ellipsoid, direction, offset, keep, on_infeasible=on_infeasible)
@@ -272,9 +285,10 @@ class PolytopeKnowledge(KnowledgeSet):
 
     def value_bounds(self, direction) -> Tuple[float, float]:
         direction = ensure_vector(direction, dimension=self.dimension, name="direction")
-        lower = self._solve(direction, maximize=False)
-        upper = self._solve(direction, maximize=True)
-        return lower, upper
+        return self._bounds(direction)
+
+    def _bounds(self, direction: np.ndarray) -> Tuple[float, float]:
+        return self._solve(direction, maximize=False), self._solve(direction, maximize=True)
 
     def _solve(self, direction: np.ndarray, maximize: bool) -> float:
         from scipy.optimize import linprog

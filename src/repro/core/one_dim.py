@@ -82,7 +82,7 @@ class OneDimensionalPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
     def propose(self, features, reserve: Optional[float] = None) -> PricingDecision:
         feature = _as_scalar_feature(features)
         effective_reserve = self._effective_reserve(reserve)
-        lower, upper = self.knowledge.value_bounds(feature)
+        lower, upper = self.knowledge._bounds(feature)
 
         if effective_reserve >= upper + self.delta:
             self.skipped_rounds += 1
@@ -149,12 +149,14 @@ class OneDimensionalPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
             return False  # let the generic loop raise the usual shape error
         if not np.all(np.isfinite(features)):
             return False
+        link_reserves = materialized.link_reserves
+        if self.use_reserve and np.any(np.isinf(link_reserves)):
+            return False  # NaN means no reserve; propose rejects ±inf
         knowledge = self.knowledge
         use_reserve = self.use_reserve
         delta = self.delta
         epsilon = self.epsilon
         allow_conservative_cuts = self.allow_conservative_cuts
-        link_reserves = materialized.link_reserves
         market_values = materialized.market_values
         identity_link = getattr(model, "link_is_identity", False)
         link = model.link
@@ -169,7 +171,7 @@ class OneDimensionalPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
         theta_lower, theta_upper = knowledge.lower, knowledge.upper
         for index in range(rounds):
             feature = float(features[index, 0])
-            # Inlined IntervalKnowledge.value_bounds (same expressions).
+            # Inlined IntervalKnowledge._bounds (same expressions).
             bound_a = feature * theta_lower
             bound_b = feature * theta_upper
             lower = min(bound_a, bound_b)
@@ -217,7 +219,7 @@ class OneDimensionalPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
 
     def value_bounds(self, features) -> Tuple[float, float]:
         """Current bounds on the market value for the scalar feature."""
-        return self.knowledge.value_bounds(_as_scalar_feature(features))
+        return self.knowledge._bounds(_as_scalar_feature(features))
 
     def state_arrays(self) -> Tuple[np.ndarray, ...]:
         return self.knowledge.state_arrays()

@@ -158,7 +158,7 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
         """Lines 2–13 / 22–27 of Algorithms 1 and 2: choose the posted price."""
         features = ensure_vector(features, dimension=self.config.dimension, name="features")
         effective_reserve = self._effective_reserve(reserve)
-        lower, upper = self.knowledge.value_bounds(features)
+        lower, upper = self.knowledge._bounds(features)
         delta = self.config.delta
 
         if effective_reserve >= upper + delta:
@@ -252,7 +252,9 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
         cut-free blocks up to :attr:`_BLOCK_MAX`.
 
         Polytope knowledge returns ``False``: the engine's loop then drives
-        :meth:`propose`/:meth:`update`.
+        :meth:`propose`/:meth:`update`.  So does a market with non-finite
+        features or, under the reserve constraint, an infinite reserve, so
+        that :meth:`propose` raises its usual error.
         """
         config = self.config
         knowledge = self.knowledge
@@ -271,6 +273,8 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
         rounds = features.shape[0]
         if config.use_reserve:
             reserves = materialized.link_reserves
+            if np.any(np.isinf(reserves)):
+                return False  # NaN means no reserve; propose rejects ±inf
             effective_reserves = np.where(np.isnan(reserves), _NEGATIVE_INFINITY, reserves)
         else:
             effective_reserves = np.full(rounds, _NEGATIVE_INFINITY)
@@ -335,7 +339,7 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
     def value_bounds(self, features) -> Tuple[float, float]:
         """Current bounds on the link-space market value for ``features``."""
         features = ensure_vector(features, dimension=self.config.dimension, name="features")
-        return self.knowledge.value_bounds(features)
+        return self.knowledge._bounds(features)
 
     def state_arrays(self) -> Tuple[np.ndarray, ...]:
         return self.knowledge.state_arrays()

@@ -36,14 +36,26 @@ class SessionKey:
     segment: str
 
     def slug(self) -> str:
-        """A filesystem-safe stem for snapshot file names."""
-        import hashlib
-        import re
+        """A filesystem-safe stem for snapshot file names.
 
-        raw = "%s\x00%s" % (self.app, self.segment)
-        digest = hashlib.sha1(raw.encode("utf-8")).hexdigest()[:10]
-        safe = re.sub(r"[^A-Za-z0-9._=-]+", "-", "%s__%s" % (self.app, self.segment))
-        return "%s-%s" % (safe[:60], digest)
+        Derived once per instance and kept beside the fields, not among
+        them, so equality, hashing, ``repr`` and pickles stay those of
+        ``(app, segment)``.
+        """
+        slug = self.__dict__.get("_slug")
+        if slug is None:
+            import hashlib
+            import re
+
+            raw = "%s\x00%s" % (self.app, self.segment)
+            digest = hashlib.sha1(raw.encode("utf-8")).hexdigest()[:10]
+            safe = re.sub(r"[^A-Za-z0-9._=-]+", "-", "%s__%s" % (self.app, self.segment))
+            slug = "%s-%s" % (safe[:60], digest)
+            object.__setattr__(self, "_slug", slug)
+        return slug
+
+    def __getstate__(self) -> dict:
+        return {"app": self.app, "segment": self.segment}
 
     def __str__(self) -> str:
         return "%s/%s" % (self.app, self.segment)

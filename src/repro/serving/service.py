@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Iterable, List, Optional
 
 import numpy as np
@@ -96,6 +96,17 @@ class ServiceStats:
     def latency_summary(self) -> LatencySummary:
         """p50/p99-style summary of the per-quote latencies."""
         return LatencySummary.from_seconds(self.latency.samples_seconds)
+
+
+def _stamped(request: QuoteRequest, quote_id: int, enqueued_at: float) -> QuoteRequest:
+    """The service's private copy of ``request``, stamped for the queue.
+
+    The constructor directly, not ``dataclasses.replace``: the same fields at
+    a fraction of the cost on the per-quote path.
+    """
+    return QuoteRequest(
+        request.key, request.features, request.reserve, request.metadata, quote_id, enqueued_at
+    )
 
 
 def _needs_cut(decision, allow_conservative_cuts: bool) -> bool:
@@ -192,9 +203,7 @@ class QuoteService:
         """
         quote_id = self._next_quote_id
         self._next_quote_id += 1
-        self._queue.append(
-            replace(request, quote_id=quote_id, enqueued_at=self._clock())
-        )
+        self._queue.append(_stamped(request, quote_id, self._clock()))
         return quote_id
 
     def submit_many(self, requests: Iterable[QuoteRequest]) -> List[int]:
@@ -210,7 +219,7 @@ class QuoteService:
         for request in requests:
             quote_id = self._next_quote_id
             self._next_quote_id += 1
-            self._queue.append(replace(request, quote_id=quote_id, enqueued_at=now))
+            self._queue.append(_stamped(request, quote_id, now))
             quote_ids.append(quote_id)
         return quote_ids
 

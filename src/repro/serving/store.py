@@ -40,6 +40,7 @@ Python's shortest-round-trip float repr.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from collections import OrderedDict
@@ -452,7 +453,7 @@ class SegmentLog:
         mapped = None
         for dtype_str, shape, rel in record.arrays:
             dtype = np.dtype(dtype_str)
-            count = int(np.prod(shape, dtype=np.int64))
+            count = math.prod(shape)
             if count == 0:
                 # A zero-element leaf occupies no segment bytes (and a
                 # record of only such leaves may sit in an empty file that
@@ -507,7 +508,7 @@ def read_segment_record(
     arrays = []
     for dtype_str, shape, rel in record.arrays:
         dtype = np.dtype(dtype_str)
-        count = int(np.prod(shape, dtype=np.int64))
+        count = math.prod(shape)
         arrays.append(
             np.frombuffer(payload, dtype=dtype, count=count, offset=rel)
             .reshape(shape)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Union
 
 import numpy as np
@@ -29,7 +30,7 @@ def ensure_vector(value: ArrayLike, dimension: int = None, name: str = "vector")
 def ensure_finite_array(value: ArrayLike, name: str = "array") -> np.ndarray:
     """Check that every entry of ``value`` is finite and return it as an array."""
     arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("%s contains non-finite entries" % name)
     return arr
 
@@ -37,7 +38,7 @@ def ensure_finite_array(value: ArrayLike, name: str = "array") -> np.ndarray:
 def ensure_finite_scalar(value: float, name: str = "value") -> float:
     """Check that ``value`` is a finite scalar and return it as ``float``."""
     scalar = float(value)
-    if not np.isfinite(scalar):
+    if not math.isfinite(scalar):
         raise ValueError("%s must be finite, got %r" % (name, value))
     return scalar
 

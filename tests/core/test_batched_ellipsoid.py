@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.batched_ellipsoid import (
-    batched_cut,
-    batched_support_intervals,
-    keep_signs,
-)
+from repro.core.batched_ellipsoid import batched_cut
 from repro.core.cuts import loewner_john_cut
 from repro.core.ellipsoid import Ellipsoid, random_ellipsoid
 
@@ -26,7 +22,9 @@ def _random_batch(count, dimension, seed):
     directions = rng.standard_normal((count, dimension))
     # Offsets spread around each support interval so the batch hits NOOP,
     # shallow, central, deep, and collapse/infeasible alphas.
-    lowers, uppers = batched_support_intervals(centers, shapes, directions)
+    lowers, uppers = np.array(
+        [ellipsoid.support_interval(direction) for ellipsoid, direction in zip(ellipsoids, directions)]
+    ).T
     mix = rng.random(count) * 2.4 - 0.7  # in [-0.7, 1.7]
     offsets = lowers + mix * (uppers - lowers)
     signs = np.where(rng.random(count) < 0.5, 1.0, -1.0)
@@ -69,12 +67,6 @@ class TestBatchedCutMatchesScalar:
         np.testing.assert_allclose(result.alphas, ref_alphas, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(result.centers, ref_centers, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(result.shapes, ref_shapes, rtol=1e-10, atol=1e-12)
-
-    def test_keep_signs_mapping(self):
-        assert keep_signs("leq") == 1.0
-        assert keep_signs("geq") == -1.0
-        with pytest.raises(ValueError):
-            keep_signs("between")
 
     def test_inputs_not_mutated(self):
         _, centers, shapes, directions, offsets, signs = _random_batch(8, 3, 5)
@@ -142,14 +134,6 @@ class TestSupportIntervals:
             expected = np.array([ellipsoid.support_interval(row) for row in features])
             np.testing.assert_array_equal(lowers, expected[:, 0])
             np.testing.assert_array_equal(uppers, expected[:, 1])
-
-    def test_batched_matches_scalar_support(self):
-        ellipsoids, centers, shapes, directions, _, _ = _random_batch(16, 4, 9)
-        lowers, uppers = batched_support_intervals(centers, shapes, directions)
-        for index, ellipsoid in enumerate(ellipsoids):
-            lo, hi = ellipsoid.support_interval(directions[index])
-            assert lowers[index] == pytest.approx(lo, rel=1e-10, abs=1e-12)
-            assert uppers[index] == pytest.approx(hi, rel=1e-10, abs=1e-12)
 
     def test_degenerate_direction_zero_width(self):
         ellipsoid = random_ellipsoid(3, seed=8)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.models import LinearModel
 from repro.core.one_dim import OneDimensionalPricer
+from repro.engine import ArrivalBatch, simulate, simulate_reference
 
 
 class TestConstruction:
@@ -127,3 +129,18 @@ class TestBehaviour:
         # The always-reject bound would be 2000 * 1.3 = 2600; the bisection
         # pricer must be orders of magnitude below that.
         assert cumulative < 30.0
+
+
+@pytest.mark.parametrize("reserve", [np.inf, -np.inf], ids=["+inf", "-inf"])
+def test_engine_raises_like_propose_on_an_infinite_reserve(reserve):
+    """``run_batch`` hands an infinite reserve to the engine's loop, where
+    ``propose`` rejects it, instead of pricing the round."""
+    model = LinearModel(np.array([0.5]))
+    batch = ArrivalBatch(
+        np.array([[0.5], [0.7], [0.2], [0.9]]), np.array([0.1, reserve, 0.1, 0.1]), np.zeros(4)
+    )
+    with pytest.raises(ValueError) as block:
+        simulate(model, OneDimensionalPricer(-1.0, 1.0, epsilon=0.01), arrivals=batch)
+    with pytest.raises(ValueError) as reference:
+        simulate_reference(model, OneDimensionalPricer(-1.0, 1.0, epsilon=0.01), batch.to_arrivals())
+    assert str(block.value) == str(reference.value) == "reserve must be finite, got %r" % reserve

@@ -222,3 +222,19 @@ def test_fortran_ordered_features():
     assert fortran.features.flags.f_contiguous and not fortran.features.flags.c_contiguous
     pricer, _ = _compare(model, _pricer(20, epsilon=0.2, delta=0.01), fortran)
     assert pricer.cuts_applied > 0
+
+
+@pytest.mark.parametrize("reserve", [np.inf, -np.inf], ids=["+inf", "-inf"])
+def test_an_infinite_reserve_raises_like_the_reference_loop(reserve):
+    """NaN means "no reserve", but ``propose`` rejects an infinite one: the
+    block path must raise the same error rather than price the round."""
+    model, batch = _market(LinearModel, 3, 4, seed=21)
+    batch = ArrivalBatch(batch.features, np.array([0.1, reserve, 0.1, 0.1]), batch.noise)
+    build = _pricer(3)
+    with pytest.raises(ValueError) as block:
+        simulate(model, build(), arrivals=batch)
+    with pytest.raises(ValueError) as reference:
+        simulate_reference(model, build(), batch.to_arrivals())
+    assert str(block.value) == str(reference.value) == "reserve must be finite, got %r" % reserve
+    # Without the reserve constraint the reserve is never read.
+    _compare(model, _pricer(3, use_reserve=False), batch)
