@@ -9,7 +9,7 @@ single drain, sales are settled against the realised market values, and the
 accept/reject outcomes go back through the batched feedback path before the
 next round (so every session runs the exact online protocol).
 
-Four measurement modes, all written into one ``BENCH_serving.json``:
+Six measurement modes, all written into one ``BENCH_serving.json``:
 
 * **closed-loop** (always run) — the in-process baseline: quotes/sec and
   p50/p99 per-quote latency (enqueue → response, i.e. including micro-batch
@@ -38,12 +38,6 @@ Four measurement modes, all written into one ``BENCH_serving.json``:
   parallelism), reporting both throughputs and the scaling factor.  Scaling
   requires as many idle cores as shards — on a 1-CPU container the factor
   is necessarily ≈ 1.
-* **stacked-cut feedback micro-bench** (``--feedback-sessions N``) — N
-  same-family ellipsoid sessions in lockstep, timing the ``feedback_batch``
-  path twice: the default per-session scalar loop vs ``backend="batched"``
-  (one stacked Löwner–John kernel call over the sessions' live ellipsoids).
-  Reports both timings, the speedup (``--feedback-min-speedup`` turns it
-  into a CI gate), and the stacked-update coverage counters.
 * **Zipf popularity sweep** (``--zipf-sessions N``) — the session-store
   stress: quotes drawn from a Zipf(``--zipf-a``) popularity law over ``N``
   distinct sessions (≥ 100k in the committed run) against a residency bound
@@ -199,24 +193,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         choices=("legacy", "segment"),
         default="segment",
         help="snapshot format the Zipf sweep persists through",
-    )
-    parser.add_argument(
-        "--feedback-sessions",
-        type=int,
-        default=0,
-        help="cross-session stacked-cut micro-bench: concurrent sessions (0 = skip)",
-    )
-    parser.add_argument(
-        "--feedback-rounds",
-        type=int,
-        default=200,
-        help="lockstep rounds per session for the stacked-cut micro-bench",
-    )
-    parser.add_argument(
-        "--feedback-min-speedup",
-        type=float,
-        default=0.0,
-        help="fail (exit 1) when the batched feedback speedup lands below this (0 = report only)",
     )
     parser.add_argument(
         "--min-qps",
@@ -623,89 +599,6 @@ def run_networked_sweep(args, materialized, keys, factory):
     return summary
 
 
-def run_batched_feedback(args, environment, materialized):
-    """Cross-session stacked-cut micro-bench: per-session loop vs batched backend.
-
-    ``--feedback-sessions`` ellipsoid sessions of the *same family* (identical
-    pricer type and dimension — the paper's "pure version", which cuts on
-    essentially every exploratory round) advance in lockstep: each round every
-    session quotes the same arrival, the micro-batch drains, and all outcomes
-    go back through one ``feedback_batch`` call.  With the default backend
-    that call runs N scalar Löwner–John updates; with ``backend="batched"``
-    the eligible single-cut session groups' live ellipsoids are stacked and
-    updated by **one** stacked kernel invocation.  Only
-    the ``feedback_batch`` calls are timed — the quote path is identical in
-    both runs — so the ratio isolates the cross-session batching win the
-    relaxed tier admits.
-    """
-    sessions = args.feedback_sessions
-    rounds = min(max(1, args.feedback_rounds), args.rounds)
-    version = "pure version"
-    keys = [SessionKey("stacked", "s%04d" % index) for index in range(sessions)]
-
-    def factory(key):
-        return environment.model, build_pricer_for_version(environment, version)
-
-    def measure(backend):
-        registry = PricerRegistry(factory)
-        service = QuoteService(
-            registry,
-            config=MicroBatchConfig(
-                max_batch=max(args.max_batch, sessions),
-                max_wait_seconds=args.max_wait_ms / 1000.0,
-            ),
-            backend=backend,
-        )
-        feedback_seconds = 0.0
-        for round_ in stream_rounds(materialized.slice(0, rounds)):
-            for key in keys:
-                service.submit(
-                    QuoteRequest(key=key, features=round_.features, reserve=round_.reserve)
-                )
-            events = [
-                FeedbackEvent(
-                    key=response.key,
-                    quote_id=response.quote_id,
-                    accepted=response.sold_at(round_.market_value),
-                )
-                for response in service.flush()
-            ]
-            begin = time.perf_counter()
-            service.feedback_batch(events)
-            feedback_seconds += time.perf_counter() - begin
-        return feedback_seconds, service.stats
-
-    print(
-        "stacked-cut feedback micro-bench: %d sessions x %d lockstep rounds ..."
-        % (sessions, rounds)
-    )
-    scalar_seconds, scalar_stats = measure(None)
-    batched_seconds, batched_stats = measure("batched")
-    speedup = scalar_seconds / batched_seconds if batched_seconds > 0 else float("inf")
-    print(
-        "  scalar loop %.4fs   batched %.4fs   speedup %.2fx   "
-        "(%d stacked updates covering %d session-rounds)"
-        % (
-            scalar_seconds,
-            batched_seconds,
-            speedup,
-            batched_stats.batched_updates,
-            batched_stats.batched_update_sessions,
-        )
-    )
-    return {
-        "sessions": sessions,
-        "rounds": rounds,
-        "version": version,
-        "feedback_events": scalar_stats.feedback_applied,
-        "scalar_seconds": round(scalar_seconds, 4),
-        "batched_seconds": round(batched_seconds, 4),
-        "speedup": round(speedup, 3),
-        "stacked_updates": batched_stats.batched_updates,
-        "stacked_update_sessions": batched_stats.batched_update_sessions,
-    }
-
-
 def run_sharded_scaling(args, materialized, keys, factory):
     """Closed-loop replay through 1 worker vs ``--shards`` workers.
 
@@ -975,8 +868,6 @@ def main(argv=None) -> int:
         report["replay_at_rate_networked_sweep"] = run_networked_sweep(
             args, materialized, keys, factory
         )
-    if args.feedback_sessions > 0:
-        report["batched_feedback"] = run_batched_feedback(args, environment, materialized)
     if args.shards > 0:
         report["sharding"] = run_sharded_scaling(args, materialized, keys, factory)
     if args.zipf_sessions > 0:
@@ -991,18 +882,6 @@ def main(argv=None) -> int:
     if args.min_qps > 0 and qps < args.min_qps:
         print(
             "ERROR: %.0f quotes/sec below the required %.0f" % (qps, args.min_qps),
-            file=sys.stderr,
-        )
-        return 1
-    feedback = report.get("batched_feedback")
-    if (
-        args.feedback_min_speedup > 0
-        and feedback is not None
-        and feedback["speedup"] < args.feedback_min_speedup
-    ):
-        print(
-            "ERROR: batched feedback speedup %.2fx below the required %.2fx"
-            % (feedback["speedup"], args.feedback_min_speedup),
             file=sys.stderr,
         )
         return 1

@@ -18,7 +18,6 @@ This package implements the paper's primary contribution:
 
 from repro.core.ellipsoid import Ellipsoid
 from repro.core.cuts import CutResult, CutKind, loewner_john_cut
-from repro.core.batched_ellipsoid import BatchedCutResult, batched_cut
 from repro.core.knowledge import (
     EllipsoidKnowledge,
     IntervalKnowledge,
@@ -74,8 +73,6 @@ __all__ = [
     "CutResult",
     "CutKind",
     "loewner_john_cut",
-    "BatchedCutResult",
-    "batched_cut",
     "KnowledgeSet",
     "EllipsoidKnowledge",
     "IntervalKnowledge",

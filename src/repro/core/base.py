@@ -225,8 +225,8 @@ class PostedPriceMechanism(abc.ABC):
             ``exploratory``) the pricer must fill for every round.
 
         The run must be element-wise identical to the sequential
-        propose/update loop, internal counters included (the bit-exact tier
-        of :mod:`repro.engine.equivalence`).
+        propose/update loop, internal counters included (the bit-exact
+        contract of :mod:`repro.engine.equivalence`).
 
         Returns ``True`` when the pricer handled the run, or ``False`` to
         request the engine's generic loop fallback.

@@ -207,10 +207,12 @@ def _apply_cut_formulas(
     shape is symmetric by construction, so the result is wrapped unchecked.
     """
     dimension = ellipsoid.dimension
-    if alpha >= 1.0:
+    if alpha >= 1.0 - _ALPHA_TOLERANCE:
         # Degenerate cut: the kept region is a single point.  Collapse the
         # ellipsoid onto that point with a tiny, still positive definite shape
-        # so downstream linear algebra keeps working.
+        # so downstream linear algebra keeps working.  The margin below 1 is
+        # the same as above it: within a few ulps of 1 the formulas below
+        # cancel to a singular or indefinite shape.
         new_center = ellipsoid.center - sign * boundary
         tiny = 1e-18 * np.trace(ellipsoid.shape) / dimension
         new_shape = tiny * np.eye(dimension)

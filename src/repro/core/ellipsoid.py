@@ -296,8 +296,8 @@ class Ellipsoid:
             return NotImplemented
         return (
             self.dimension == other.dimension
-            and np.allclose(self.center, other.center)
-            and np.allclose(self.shape, other.shape)
+            and np.array_equal(self.center, other.center)
+            and np.array_equal(self.shape, other.shape)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience

@@ -26,17 +26,7 @@ from repro.engine.checkpoint import (
     save_result,
     serialize_state,
 )
-from repro.engine.equivalence import (
-    KNOWLEDGE_GEOMETRY,
-    REGRET_CURVES,
-    TRANSCRIPT_AGGREGATES,
-    TolerancePolicy,
-    assert_bit_exact,
-    assert_regret_curves_close,
-    assert_states_close,
-    assert_transcripts_close,
-    tier_for_backend,
-)
+from repro.engine.equivalence import assert_bit_exact, state_equal
 from repro.engine.records import QueryArrival, RoundOutcome
 from repro.engine.reference import simulate_reference
 from repro.engine.results import SimulationResult
@@ -54,15 +44,7 @@ from repro.engine.transcript import Transcript, TranscriptRows
 __all__ = [
     "ArrivalBatch",
     "CheckpointError",
-    "KNOWLEDGE_GEOMETRY",
-    "REGRET_CURVES",
-    "TRANSCRIPT_AGGREGATES",
-    "TolerancePolicy",
     "assert_bit_exact",
-    "assert_regret_curves_close",
-    "assert_states_close",
-    "assert_transcripts_close",
-    "tier_for_backend",
     "MaterializedArrivals",
     "MarketScenario",
     "PricerCheckpoint",
@@ -89,5 +71,6 @@ __all__ = [
     "serialize_state",
     "simulate",
     "simulate_reference",
+    "state_equal",
     "stream_rounds",
 ]

@@ -51,7 +51,6 @@ from repro.engine.runner import (
     _DECISION_COLUMNS,
     _dispatch,
     _market_fingerprint,
-    _validate_backend,
     run_batch_chunked,
     simulate,
 )
@@ -251,13 +250,8 @@ class RunMatrix:
         checkpoint_dir: Optional[str] = None,
         checkpoint_tag: Optional[str] = None,
         chunk_checkpoint_every: int = 1,
-        backend: Optional[str] = None,
     ) -> RunMatrixResult:
         """Execute every declared cell and return the result grid.
-
-        ``backend`` is validated up front (see
-        :mod:`repro.engine.equivalence`); the engine's pricer paths are
-        bit-exact under every name, so it changes no cell's result.
 
         ``track_latency`` forces per-round timing, and with it the serial
         executor: the per-round wall-clock the paper reports (Section V-D)
@@ -300,7 +294,6 @@ class RunMatrix:
         if not self._cells:
             return RunMatrixResult({})
         self._validate_executor(executor)
-        _validate_backend(backend)
         if shard_rounds is not None and shard_rounds < 1:
             raise ValueError("shard_rounds must be at least 1, got %d" % shard_rounds)
         if chunk_checkpoint_every < 1:
@@ -349,7 +342,6 @@ class RunMatrix:
                                 cell, shard_rounds, checkpoint_dir
                             ),
                             chunk_checkpoint_every=chunk_checkpoint_every,
-                            backend=backend,
                         )
                         self._store(results, cell, result, checkpoint_dir)
             return RunMatrixResult({cell: results[cell] for cell in self._cells})
@@ -377,7 +369,6 @@ class RunMatrix:
                             cell, shard_rounds, checkpoint_dir
                         ),
                         chunk_checkpoint_every=chunk_checkpoint_every,
-                        backend=backend,
                     )
                     self._store(results, cell, result, checkpoint_dir)
                 return RunMatrixResult({cell: results[cell] for cell in self._cells})
@@ -415,7 +406,6 @@ class RunMatrix:
                             cell,
                             track_latency,
                             None,
-                            backend=backend,
                         )
                         for cell in pending
                     }
@@ -429,7 +419,7 @@ class RunMatrix:
         # registry is keyed per run, so overlapping runs (nested matrices,
         # threads) never clobber each other's state.
         token = "%d-%d" % (os.getpid(), next(_RUN_TOKENS))
-        _WORKER_STATES[token] = (prepared, dict(self._pricer_factories), track_latency, backend)
+        _WORKER_STATES[token] = (prepared, dict(self._pricer_factories), track_latency)
         try:
             context = multiprocessing.get_context("fork")
             workers = max_workers or min(len(pending), os.cpu_count() or 1)
@@ -634,7 +624,6 @@ class RunMatrix:
         shard_rounds: Optional[int] = None,
         chunk_checkpoint_path: Optional[str] = None,
         chunk_checkpoint_every: int = 1,
-        backend: Optional[str] = None,
     ) -> SimulationResult:
         scenario, materialized = prepared
         try:
@@ -647,7 +636,6 @@ class RunMatrix:
                         materialized=materialized,
                         chunk_size=shard_rounds,
                         pricer_name=cell.pricer,
-                        backend=backend,
                     )
                 try:
                     return run_batch_chunked(
@@ -660,7 +648,6 @@ class RunMatrix:
                         resume=True,
                         checkpoint_every=chunk_checkpoint_every,
                         checkpoint_final=False,
-                        backend=backend,
                     )
                 except checkpoint_store.CheckpointError:
                     # Stale or foreign chunk file (e.g. the workload changed
@@ -680,7 +667,6 @@ class RunMatrix:
                         checkpoint_path=chunk_checkpoint_path,
                         checkpoint_every=chunk_checkpoint_every,
                         checkpoint_final=False,
-                        backend=backend,
                     )
             return simulate(
                 scenario.model,
@@ -688,7 +674,6 @@ class RunMatrix:
                 materialized=materialized,
                 track_latency=track_latency,
                 pricer_name=cell.pricer,
-                backend=backend,
             )
         except RunCellError:
             raise
@@ -732,7 +717,7 @@ class _SeededBuilder:
 
 #: Per-run worker state, registered by :meth:`RunMatrix.run` immediately
 #: before forking process workers and removed when the run completes.
-_WORKER_STATES: Dict[str, Tuple[dict, dict, bool, Optional[str]]] = {}
+_WORKER_STATES: Dict[str, Tuple[dict, dict, bool]] = {}
 _RUN_TOKENS = itertools.count()
 
 
@@ -743,7 +728,7 @@ def _run_cell_in_worker(token: str, cell: RunCell) -> SimulationResult:
         raise RuntimeError(
             "run-matrix worker state %r missing (not forked from run()?)" % token
         )
-    prepared, factories, track_latency, backend = state
+    prepared, factories, track_latency = state
     scenario, materialized = prepared[cell.scenario]
     try:
         pricer = factories[cell.pricer](scenario)
@@ -753,7 +738,6 @@ def _run_cell_in_worker(token: str, cell: RunCell) -> SimulationResult:
             materialized=materialized,
             track_latency=track_latency,
             pricer_name=cell.pricer,
-            backend=backend,
         )
     except Exception as exc:
         # RunCellError pickles cleanly across the pool pipe (its args are the
@@ -773,7 +757,7 @@ def _run_chunk_in_worker(
         raise RuntimeError(
             "run-matrix worker state %r missing (not forked from run()?)" % token
         )
-    prepared, factories, _track_latency, _backend = state
+    prepared, factories, _track_latency = state
     return _run_chunk(
         prepared[cell.scenario], factories[cell.pricer], cell, start, stop, state_blob
     )

@@ -61,7 +61,6 @@ def simulate(
     track_latency: bool = False,
     materialized: Optional[MaterializedArrivals] = None,
     pricer_name: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> SimulationResult:
     """Simulate one pricer over a batch of arrivals (columnar engine).
 
@@ -82,14 +81,7 @@ def simulate(
         Pre-computed :class:`MaterializedArrivals`, shared across pricers by
         :func:`repro.core.simulation.compare_pricers` and the run-matrix
         executor.
-    backend:
-        Math-backend selector (see :mod:`repro.engine.equivalence`).
-        Every name runs the same bit-exact pricer paths here; ``"batched"``
-        only changes serving's stacked feedback.  Unknown names raise
-        ``ValueError`` here, before any round runs.  Latency tracking forces
-        the sequential loop regardless.
     """
-    _validate_backend(backend)
     if materialized is None:
         if arrivals is None:
             raise ValueError("either arrivals or materialized must be provided")
@@ -123,7 +115,6 @@ def run_batch_chunked(
     resume: bool = False,
     checkpoint_every: int = 1,
     checkpoint_final: bool = True,
-    backend: Optional[str] = None,
 ) -> SimulationResult:
     """Execute one horizon as a sequence of chunks through checkpoints.
 
@@ -169,7 +160,6 @@ def run_batch_chunked(
     """
     from repro.engine import checkpoint as checkpoint_module
 
-    _validate_backend(backend)
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1, got %d" % chunk_size)
     if checkpoint_every < 1:
@@ -272,13 +262,6 @@ def _market_fingerprint(materialized: MaterializedArrivals) -> str:
 # --------------------------------------------------------------------------- #
 # Strategies
 # --------------------------------------------------------------------------- #
-
-
-def _validate_backend(backend: Optional[str]) -> None:
-    """Reject unknown ``backend=`` values before any round runs."""
-    from repro.engine.equivalence import tier_for_backend
-
-    tier_for_backend(backend)  # raises ValueError on unknown names
 
 
 def _dispatch(model, pricer, materialized: MaterializedArrivals, transcript: Transcript) -> None:

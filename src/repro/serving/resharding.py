@@ -37,7 +37,6 @@ Verification levels:
 
 from __future__ import annotations
 
-import math
 import os
 import re
 import shutil
@@ -45,10 +44,9 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.engine import checkpoint as checkpoint_store
 from repro.engine.checkpoint import _atomic_write
+from repro.engine.equivalence import state_equal
 from repro.exceptions import ReshardingError
 from repro.serving.store import SESSION_SUFFIX
 from repro.serving.requests import SessionKey
@@ -64,7 +62,6 @@ __all__ = [
     "plan_reshard",
     "reshard_snapshots",
     "verify_reshard",
-    "state_equal",
 ]
 
 _SHARD_DIR_RE = re.compile(r"^shard-(\d+)$")
@@ -402,34 +399,3 @@ def _verify_hydration(move: SessionMove, source, target, factory) -> None:
             )
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-
-
-def state_equal(left, right) -> bool:
-    """Recursive bit-exact equality of two ``state_dict`` mappings.
-
-    Arrays compare by dtype, shape, and raw bytes (so NaN payloads and
-    signed zeros must match too); float scalars treat NaN == NaN (JSON
-    round-trips them, and a NaN bookkeeping scalar is still the same
-    state); containers compare structurally.
-    """
-    if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
-        if not (isinstance(left, np.ndarray) and isinstance(right, np.ndarray)):
-            return False
-        return (
-            left.dtype == right.dtype
-            and left.shape == right.shape
-            and left.tobytes() == right.tobytes()
-        )
-    if isinstance(left, dict) and isinstance(right, dict):
-        if left.keys() != right.keys():
-            return False
-        return all(state_equal(left[key], right[key]) for key in left)
-    if isinstance(left, (list, tuple)) and isinstance(right, (list, tuple)):
-        if len(left) != len(right):
-            return False
-        return all(state_equal(a, b) for a, b in zip(left, right))
-    if isinstance(left, float) and isinstance(right, float):
-        if math.isnan(left) and math.isnan(right):
-            return True
-        return left == right
-    return type(left) is type(right) and left == right

@@ -45,10 +45,6 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional
 import numpy as np
 
 from repro.core.base import BatchDecisions
-from repro.core.batched_ellipsoid import batched_cut
-from repro.core.knowledge import EllipsoidKnowledge
-from repro.core.pricing import EllipsoidPricer
-from repro.engine.equivalence import RELAXED_TIER, tier_for_backend
 from repro.exceptions import ServingError
 from repro.serving.store import PricerRegistry, PricingSession
 from repro.serving.requests import FeedbackEvent, QuoteRequest, QuoteResponse
@@ -86,11 +82,6 @@ class ServiceStats:
     drains: int = 0
     batched_proposals: int = 0
     feedback_applied: int = 0
-    #: Stacked cross-session ellipsoid updates (one per backend kernel call;
-    #: each covers every batched session of one family in the window).
-    batched_updates: int = 0
-    #: Sessions whose feedback went through a stacked update.
-    batched_update_sessions: int = 0
     latency: OnlineLatencyTracker = field(default_factory=OnlineLatencyTracker)
 
     def latency_summary(self) -> LatencySummary:
@@ -109,33 +100,6 @@ def _stamped(request: QuoteRequest, quote_id: int, enqueued_at: float) -> QuoteR
     )
 
 
-def _needs_cut(decision, allow_conservative_cuts: bool) -> bool:
-    """Whether settling this pending decision would attempt a knowledge cut.
-
-    Mirrors the guards of :meth:`EllipsoidPricer.update` exactly (non-skipped
-    priced round, exploratory unless conservative cuts are enabled, and
-    non-degenerate width along the cut direction).
-    """
-    if decision.skipped or decision.price is None:
-        return False
-    if not (decision.exploratory or allow_conservative_cuts):
-        return False
-    return decision.width > 1e-12
-
-
-@dataclass
-class _BatchedCutEntry:
-    """One session's settled single-cut window, awaiting the stacked update."""
-
-    session: PricingSession
-    pricer: EllipsoidPricer
-    group_size: int
-    direction: np.ndarray
-    offset: float
-    sign: float
-    family: tuple
-
-
 class QuoteService:
     """The online pricing front end over a :class:`PricerRegistry`.
 
@@ -152,15 +116,6 @@ class QuoteService:
         First quote id to assign.  A respawned shard worker is seeded past
         its dead predecessor's highest issued id, so a stale feedback event
         for a lost quote can never settle a fresh one by id collision.
-    backend:
-        Math-backend selector for the cross-session feedback fast path (see
-        :mod:`repro.engine.equivalence`).  ``None`` / ``"reference"`` keep
-        the bit-exact per-session update loop.  ``"batched"`` settles each
-        micro-batch window's single-cut ellipsoid sessions through **one**
-        stacked Löwner–John update over their live ellipsoids —
-        relaxed-tier semantics.  Sessions that need multiple sequential
-        cuts in one window, or use other pricer families, transparently
-        fall back to the reference loop.
     """
 
     def __init__(
@@ -169,7 +124,6 @@ class QuoteService:
         config: Optional[MicroBatchConfig] = None,
         clock: Callable[[], float] = time.perf_counter,
         first_quote_id: int = 0,
-        backend: Optional[str] = None,
     ) -> None:
         if first_quote_id < 0:
             raise ValueError(
@@ -182,12 +136,6 @@ class QuoteService:
         self._outbox: List[QuoteResponse] = []
         self._next_quote_id = first_quote_id
         self.stats = ServiceStats()
-        self.backend = backend
-        # Resolve eagerly: an unknown name fails at construction, not
-        # mid-feedback.
-        relaxed = tier_for_backend(backend) == RELAXED_TIER
-        #: The stacked cut kernel of the relaxed tier, ``None`` when exact.
-        self._math_backend = batched_cut if relaxed else None
 
     # ------------------------------------------------------------------ #
     # Quote path
@@ -336,16 +284,11 @@ class QuoteService:
         Stateless sessions take the whole group through one ``update_batch``
         call; learning sessions apply ordered per-decision ``update`` calls
         (order is semantics for them — each cut changes the next update's
-        knowledge state).  With a relaxed-tier :attr:`backend`, ellipsoid
-        sessions whose window requires at most one cut are instead collected
-        **across sessions** and settled through one stacked Löwner–John
-        update per pricer family (cuts of *different* sessions touch
-        disjoint ellipsoids, so stacking them loses no ordering semantics).
+        knowledge state).
         """
         groups: "OrderedDict" = OrderedDict()
         for event in events:
             groups.setdefault(event.key, []).append(event)
-        deferred: List[_BatchedCutEntry] = []
         for key, group in groups.items():
             session = self._session_for_feedback(key)
             pricer = session.pricer
@@ -376,17 +319,11 @@ class QuoteService:
                 self.registry.note_feedback(session, count=len(group))
                 self.stats.feedback_applied += len(group)
                 continue
-            entry = self._defer_for_batched_cut(session, group)
-            if entry is not None:
-                deferred.append(entry)
-                continue
             for event in group:
                 decision = self._settle(session, event)
                 pricer.update(decision, event.accepted)
             self.registry.note_feedback(session, count=len(group))
             self.stats.feedback_applied += len(group)
-        if deferred:
-            self._apply_batched_feedback(deferred)
 
     def feedback_many(self, events: Iterable[FeedbackEvent]) -> List[Optional[Exception]]:
         """Apply a mixed window of outcomes with **per-event** results.
@@ -413,99 +350,6 @@ class QuoteService:
                 for index in indices:
                     outcomes[index] = exc
         return outcomes
-
-    # ------------------------------------------------------------------ #
-    # Cross-session batched feedback (relaxed tier)
-    # ------------------------------------------------------------------ #
-
-    def _defer_for_batched_cut(self, session, group) -> Optional["_BatchedCutEntry"]:
-        """Settle one window group for the stacked update, if eligible.
-
-        Eligible means: a relaxed-tier backend is configured, the session's
-        pricer is an :class:`EllipsoidPricer` over ellipsoid knowledge, the
-        group covers *all* of the session's in-flight quotes (so pending is
-        empty after settling: no decision priced on the pre-cut ellipsoid
-        is still owed feedback when the stacked cut lands), and exactly one
-        event requires a cut.  Zero-cut groups gain nothing from the kernel
-        and multi-cut groups are order-dependent within the session; both
-        run the reference loop.  Returns ``None`` (nothing settled) when
-        ineligible.
-        """
-        if self._math_backend is None:
-            return None
-        pricer = session.pricer
-        if not isinstance(pricer, EllipsoidPricer):
-            return None
-        if not isinstance(pricer.knowledge, EllipsoidKnowledge):
-            return None
-        if len(session.pending) != len(group):
-            return None
-        allow_conservative_cuts = pricer.config.allow_conservative_cuts
-        cut_events = [
-            event
-            for event in group
-            if _needs_cut(session.pending[event.quote_id], allow_conservative_cuts)
-        ]
-        if len(cut_events) != 1:
-            return None
-        cut_event = cut_events[0]
-        cut_decision = None
-        for event in group:
-            decision = self._settle(session, event)
-            if event is cut_event:
-                cut_decision = decision
-        delta = pricer.config.delta
-        if cut_event.accepted:
-            offset, sign = cut_decision.price - delta, -1.0  # keep 'geq'
-        else:
-            offset, sign = cut_decision.price + delta, 1.0  # keep 'leq'
-        return _BatchedCutEntry(
-            session=session,
-            pricer=pricer,
-            group_size=len(group),
-            direction=np.asarray(cut_decision.features, dtype=float),
-            offset=float(offset),
-            sign=sign,
-            family=(type(pricer).__name__, pricer.config.dimension),
-        )
-
-    def _apply_batched_feedback(self, entries: List["_BatchedCutEntry"]) -> None:
-        """One stacked Löwner–John update per pricer family.
-
-        Each entry is one session with exactly one settled cut-requiring
-        outcome.  A family is pricer type plus dimension over ellipsoid
-        knowledge, so its live centers and shapes stack into ``(k, n)`` /
-        ``(k, n, n)`` arrays.  Per family: stack them, run the stacked
-        kernel over all of them at once, and write each updated item's new
-        geometry and cut counters back onto its pricer.
-        """
-        families: "OrderedDict" = OrderedDict()
-        for entry in entries:
-            families.setdefault(entry.family, []).append(entry)
-        for family_entries in families.values():
-            ellipsoids = [entry.pricer.knowledge.ellipsoid for entry in family_entries]
-            result = self._math_backend(
-                np.stack([ellipsoid.center for ellipsoid in ellipsoids]),
-                np.stack([ellipsoid.shape for ellipsoid in ellipsoids]),
-                np.stack([entry.direction for entry in family_entries]),
-                np.array([entry.offset for entry in family_entries]),
-                np.array([entry.sign for entry in family_entries]),
-            )
-            for position in np.flatnonzero(result.updated):
-                pricer = family_entries[position].pricer
-                # The kernel re-symmetrised these rows; copies detach them
-                # from the stacked result buffer.
-                ellipsoids[position].center = result.centers[position].copy()
-                ellipsoids[position].shape = result.shapes[position].copy()
-                pricer.knowledge.cut_count += 1
-                pricer.cuts_applied += 1
-            self.stats.batched_updates += 1
-            self.stats.batched_update_sessions += len(family_entries)
-            # Write-behind accounting runs after the write-back, so a
-            # persist triggered here snapshots the post-cut state.
-            for entry in family_entries:
-                self.registry.note_feedback(entry.session, count=entry.group_size)
-                self.stats.feedback_applied += entry.group_size
 
     def _session_for_feedback(self, key) -> PricingSession:
         """Resolve a feedback target without creating (or LRU-thrashing) it.

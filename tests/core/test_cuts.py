@@ -131,6 +131,22 @@ class TestLoewnerJohnCut:
         # The clamped ellipsoid collapses near the supporting point (-1, 0, 0).
         assert np.allclose(result.ellipsoid.center, [-1.0, 0.0, 0.0], atol=1e-6)
 
+    @pytest.mark.parametrize("dimension", [2, 3, 20])
+    @pytest.mark.parametrize("keep", ["leq", "geq"])
+    def test_cut_through_the_support_point_collapses(self, dimension, keep):
+        """An offset at the end of the support interval puts alpha within a
+        few ulps of 1, on either side.  Below 1 the deep-cut formulas would
+        cancel to a singular or indefinite shape, so the cut collapses onto
+        the support point as it does just above 1."""
+        for seed in range(20):
+            ellipsoid = random_ellipsoid(dimension, seed=seed)
+            direction = np.random.default_rng(seed).standard_normal(dimension)
+            lower, upper = ellipsoid.support_interval(direction)
+            offset = lower if keep == "leq" else upper
+            result = loewner_john_cut(ellipsoid, direction, offset, keep, on_infeasible="skip")
+            assert result.updated and abs(result.alpha - 1.0) < 1e-12
+            assert result.ellipsoid.smallest_eigenvalue() > 0.0
+
     def test_unknown_infeasible_mode_rejected(self, unit_ball_3d):
         with pytest.raises(ValueError):
             loewner_john_cut(unit_ball_3d, np.array([1.0, 0, 0]), 0.0, "leq", on_infeasible="boom")
@@ -155,8 +171,8 @@ class TestLoewnerJohnCut:
         direction = np.array([0.0, 1.0, 0.0])
         accept = loewner_john_cut(unit_ball_3d, direction, 0.0, keep="geq")
         reject = loewner_john_cut(unit_ball_3d, direction, 0.0, keep="leq")
-        assert np.allclose(accept.ellipsoid.center, -reject.ellipsoid.center)
-        assert np.allclose(accept.ellipsoid.shape, reject.ellipsoid.shape)
+        assert np.array_equal(accept.ellipsoid.center, -reject.ellipsoid.center)
+        assert np.array_equal(accept.ellipsoid.shape, reject.ellipsoid.shape)
 
 
 class TestVolumeRatioBound:

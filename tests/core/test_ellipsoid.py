@@ -46,7 +46,7 @@ class TestConstruction:
     def test_shape_is_symmetrised(self):
         shape = np.array([[2.0, 0.1], [0.0999999, 2.0]])
         ellipsoid = Ellipsoid(np.zeros(2), shape)
-        assert np.allclose(ellipsoid.shape, ellipsoid.shape.T)
+        assert np.array_equal(ellipsoid.shape, ellipsoid.shape.T)
 
     def test_copy_is_independent(self, small_ellipsoid):
         clone = small_ellipsoid.copy()
@@ -161,3 +161,24 @@ class TestMisc:
         ellipsoid = random_ellipsoid(6, seed=3)
         assert ellipsoid.dimension == 6
         assert ellipsoid.smallest_eigenvalue() > 0
+
+
+class TestSupportIntervals:
+    def test_block_matches_scalar_support(self):
+        """The block support intervals equal the scalar ones bit for bit,
+        for C- and Fortran-ordered blocks (rows round by stride)."""
+        ellipsoid = random_ellipsoid(5, seed=3)
+        rng = np.random.default_rng(3)
+        for order in ("C", "F"):
+            features = np.asarray(rng.standard_normal((32, 5)), order=order)
+            features[0] = 0.0
+            features[1] = 1e-158
+            lowers, uppers = ellipsoid.support_intervals(features)
+            expected = np.array([ellipsoid.support_interval(row) for row in features])
+            np.testing.assert_array_equal(lowers, expected[:, 0])
+            np.testing.assert_array_equal(uppers, expected[:, 1])
+
+    def test_degenerate_direction_zero_width(self):
+        ellipsoid = random_ellipsoid(3, seed=8)
+        lowers, uppers = ellipsoid.support_intervals(np.zeros((1, 3)))
+        assert lowers[0] == uppers[0] == 0.0

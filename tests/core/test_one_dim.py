@@ -49,7 +49,7 @@ class TestPaperOneDimensionalScenario:
                 sold = decision.price is not None and decision.price <= market_value
                 pricer.update(decision, accepted=sold)
                 prices.append(decision.price)
-            assert prices[0] == pytest.approx(prices[1])
+            assert prices[0] == prices[1]
 
     def test_bisection_converges_to_market_value(self):
         pricer = OneDimensionalPricer(0.0, 2.0, epsilon=1e-4, use_reserve=False)

@@ -1,13 +1,20 @@
 """Property-based tests (hypothesis) for the core invariants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.cuts import CutKind, loewner_john_cut
-from repro.core.ellipsoid import Ellipsoid
+from repro.core.cuts import (
+    _ALPHA_TOLERANCE,
+    CutKind,
+    loewner_john_cut,
+    volume_ratio_upper_bound,
+)
+from repro.core.ellipsoid import Ellipsoid, random_ellipsoid
 from repro.core.knowledge import IntervalKnowledge
 from repro.core.pricing import EllipsoidPricer, PricerConfig
 from repro.core.regret import single_round_regret, single_round_regret_without_reserve
@@ -95,6 +102,81 @@ class TestEllipsoidProperties:
         middle = float(direction @ center)
         assert lower - 1e-9 <= middle <= upper + 1e-9
         assert upper - lower == pytest.approx(ellipsoid.width_along(direction))
+
+
+#: The largest condition number at which the sequence property still checks
+#: a cut.  An explicit n x n shape resolves an axis only down to about
+#: n * eps times its longest one, and eigvalsh measures no finer; past this
+#: bound neither "positive definite" nor the log-volume can be told apart
+#: from rounding, so the sequence stops there.
+_RESOLVED_CONDITION = 1e12
+
+
+def _condition_bound_after_cut(ellipsoid, alpha):
+    """An upper bound on the condition number of the shape a cut leaves.
+
+    The update is ``scale * (A - c b b^T)``, and ``A - c b b^T >= (1 - c) A``,
+    so no axis shrinks by more than ``1 - c`` relative to the others.  A cut
+    within the tolerance of ``alpha = 1`` collapses to a ball.
+    """
+    if alpha >= 1.0 - _ALPHA_TOLERANCE:
+        return 1.0
+    n = ellipsoid.dimension
+    eigenvalues = np.linalg.eigvalsh(ellipsoid.shape)
+    shrink = (n - 1.0) * (1.0 - alpha) / ((n + 1.0) * (1.0 + alpha))
+    return eigenvalues[-1] / (eigenvalues[0] * shrink)
+
+
+class TestCutSequenceProperties:
+    """The cut invariants over whole sequences of cuts.
+
+    ``loewner_john_cut`` is the only code that produces post-cut shapes, and
+    ``Ellipsoid.trusted`` wraps them without a check, so every applied cut
+    must leave a shape that is symmetric bit for bit and positive definite,
+    and must shrink the volume at least as fast as Lemma 2 says.
+    """
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        data=st.data(),
+        dimension=st.integers(min_value=2, max_value=20),
+        ball=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+        cuts=st.integers(min_value=1, max_value=30),
+    )
+    def test_cuts_keep_the_shape_symmetric_positive_definite_and_shrinking(
+        self, data, dimension, ball, seed, cuts
+    ):
+        ellipsoid = Ellipsoid.ball(dimension, 2.0) if ball else random_ellipsoid(dimension, seed)
+        for _ in range(cuts):
+            direction = data.draw(_direction_strategy(dimension), label="direction")
+            # Fractions of the support interval: below 0 and above 1 put the
+            # offset outside it (an infeasible or a no-op cut).
+            fraction = data.draw(st.floats(min_value=-0.5, max_value=1.5), label="fraction")
+            keep = data.draw(st.sampled_from(("leq", "geq")), label="keep")
+            lower, upper = ellipsoid.support_interval(direction)
+            offset = lower + fraction * (upper - lower)
+            result = loewner_john_cut(ellipsoid, direction, offset, keep, on_infeasible="skip")
+            if not result.updated:
+                continue
+            condition = _condition_bound_after_cut(ellipsoid, result.alpha)
+            if condition > _RESOLVED_CONDITION:
+                return
+            shape = result.ellipsoid.shape
+            assert np.array_equal(shape, shape.T)
+            assert result.ellipsoid.smallest_eigenvalue() > 0.0
+            if result.alpha < 1.0:
+                log_ratio = result.ellipsoid.log_volume() - ellipsoid.log_volume()
+                bound = math.log(volume_ratio_upper_bound(result.alpha, dimension))
+                # Rounding moves a log-determinant by up to about
+                # n * eps * condition; the slack is 16 times that.
+                slack = 16.0 * dimension * np.finfo(float).eps * condition
+                assert log_ratio <= bound + slack
+            ellipsoid = result.ellipsoid
 
 
 class TestIntervalProperties:

@@ -16,36 +16,16 @@ import pytest
 from repro.core.ellipsoid import Ellipsoid
 from repro.core.models import LinearModel, LogisticModel, LogLinearModel
 from repro.core.pricing import EllipsoidPricer, PricerConfig
-from repro.engine import ArrivalBatch, run_batch_chunked, simulate, simulate_reference
+from repro.engine import (
+    ArrivalBatch,
+    assert_bit_exact,
+    run_batch_chunked,
+    simulate,
+    simulate_reference,
+    state_equal,
+)
 
-COLUMNS = (
-    "link_values",
-    "market_values",
-    "reserve_values",
-    "link_prices",
-    "posted_prices",
-    "sold",
-    "skipped",
-    "exploratory",
-    "regrets",
-)
-COUNTERS = (
-    "rounds_seen",
-    "skipped_rounds",
-    "exploratory_rounds",
-    "conservative_rounds",
-    "cuts_applied",
-)
 BLOCK_MAX = EllipsoidPricer._BLOCK_MAX
-
-
-def _same_bits(left, right):
-    left, right = np.asarray(left), np.asarray(right)
-    return (
-        left.dtype == right.dtype
-        and np.array_equal(left, right, equal_nan=True)
-        and np.array_equal(np.signbit(left), np.signbit(right))
-    )
 
 
 def _market(model_type, dimension, rounds, seed, reserve_ratio=0.6, noise_sigma=0.005):
@@ -74,17 +54,8 @@ def _compare(model, build, batch, **simulate_options):
     else:
         block = simulate(model, block_pricer, arrivals=batch, **simulate_options)
     reference = simulate_reference(model, reference_pricer, batch.to_arrivals())
-    for name in COLUMNS:
-        assert _same_bits(
-            getattr(block.transcript, name), getattr(reference.transcript, name)
-        ), "column %s differs from the reference loop" % name
-    for name in COUNTERS:
-        assert getattr(block_pricer, name) == getattr(reference_pricer, name), name
-    assert block_pricer.knowledge.cut_count == reference_pricer.knowledge.cut_count
-    block_state = block_pricer.knowledge.ellipsoid
-    reference_state = reference_pricer.knowledge.ellipsoid
-    assert _same_bits(block_state.center, reference_state.center)
-    assert _same_bits(block_state.shape, reference_state.shape)
+    assert_bit_exact(block.transcript, reference.transcript, "block path")
+    assert state_equal(block_pricer.state_dict(), reference_pricer.state_dict())
     return reference_pricer, reference.transcript
 
 

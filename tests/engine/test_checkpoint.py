@@ -31,6 +31,7 @@ from repro.core.pricing import make_pricer
 from repro.core.sgd_pricer import SGDContextualPricer
 from repro.engine import (
     CheckpointError,
+    assert_bit_exact,
     run_batch_chunked,
     simulate,
 )
@@ -79,17 +80,6 @@ def _families(theta, dimension):
             dimension=dimension, radius=radius, epsilon=0.2, delta=0.01, use_reserve=False
         )
     return families
-
-
-def _assert_same_columns(base, other, context):
-    for name in ("link_prices", "posted_prices", "regrets"):
-        assert np.array_equal(
-            getattr(base.transcript, name), getattr(other.transcript, name), equal_nan=True
-        ), "%s: %s diverged" % (context, name)
-    for name in ("sold", "skipped", "exploratory"):
-        assert np.array_equal(
-            getattr(base.transcript, name), getattr(other.transcript, name)
-        ), "%s: %s diverged" % (context, name)
 
 
 def _run_split(model, materialized, factory, split, tmp_path):
@@ -144,7 +134,9 @@ class TestSaveLoadContinueProperty:
             chunked = run_batch_chunked(
                 model, factory(), materialized=materialized, chunk_size=chunk_size
             )
-            _assert_same_columns(base, chunked, "%s chunk=%d" % (name, chunk_size))
+            assert_bit_exact(
+                base.transcript, chunked.transcript, "%s chunk=%d" % (name, chunk_size)
+            )
 
     def test_end_state_identical_after_restore_and_continue(self):
         # Not just the transcript: the pricer's own state (knowledge set,
@@ -183,7 +175,9 @@ class TestAcceptanceChunkSizes:
             chunked = run_batch_chunked(
                 model, factory(), materialized=materialized, chunk_size=chunk_size
             )
-            _assert_same_columns(base, chunked, "%s chunk=%d" % (name, chunk_size))
+            assert_bit_exact(
+                base.transcript, chunked.transcript, "%s chunk=%d" % (name, chunk_size)
+            )
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 16, 32])
     def test_polytope_knowledge(self, chunk_size):
@@ -195,7 +189,9 @@ class TestAcceptanceChunkSizes:
         chunked = run_batch_chunked(
             model, factory(), materialized=materialized, chunk_size=chunk_size
         )
-        _assert_same_columns(base, chunked, "polytope chunk=%d" % chunk_size)
+        assert_bit_exact(
+            base.transcript, chunked.transcript, "polytope chunk=%d" % chunk_size
+        )
 
 
 class TestChunkedResumeGuards:
@@ -218,7 +214,7 @@ class TestChunkedResumeGuards:
             model, factory(), materialized=materialized,
             chunk_size=40, checkpoint_path=path, resume=True,
         )
-        _assert_same_columns(base, resumed, "resume")
+        assert_bit_exact(base.transcript, resumed.transcript, "resume")
 
     def test_resume_rejects_checkpoint_from_different_market(self, tmp_path):
         from repro.engine import CheckpointError as EngineCheckpointError
@@ -246,7 +242,7 @@ class TestChunkedResumeGuards:
             model, factory(), materialized=materialized,
             chunk_size=10, checkpoint_path=path, checkpoint_every=4,
         )
-        _assert_same_columns(base, sparse, "checkpoint_every=4")
+        assert_bit_exact(base.transcript, sparse.transcript, "checkpoint_every=4")
         # The final boundary is always persisted, so a completed run's
         # checkpoint covers the whole horizon regardless of the stride.
         assert load_checkpoint(path).rounds_done == 100
@@ -296,7 +292,7 @@ class TestRngPosition:
         chunked = run_batch_chunked(
             model, _RandomizedPricer(seed=5), materialized=materialized, chunk_size=9
         )
-        _assert_same_columns(base, chunked, "randomized chunk=9")
+        assert_bit_exact(base.transcript, chunked.transcript, "randomized chunk=9")
 
     def test_rng_state_in_snapshot(self):
         pricer = _RandomizedPricer(seed=5)
@@ -390,7 +386,7 @@ class TestSerializationLayer:
         loaded = load_result(path)
         assert loaded.pricer_name == "cell-pricer"
         assert loaded.rounds == 40
-        _assert_same_columns(result, loaded, "result round-trip")
+        assert_bit_exact(result.transcript, loaded.transcript, "result round-trip")
         assert np.array_equal(
             result.transcript.market_values, loaded.transcript.market_values
         )

@@ -27,21 +27,12 @@ from repro.core.noise import GaussianNoise
 from repro.core.pricing import make_pricer
 from repro.core.sgd_pricer import SGDContextualPricer
 from repro.core.simulation import MarketSimulator, QueryArrival, compare_pricers
-from repro.engine import simulate_reference
+from repro.engine import assert_bit_exact, simulate_reference
 
 
 def assert_transcripts_identical(engine_result, reference_result):
-    """Exact element-wise equality of every transcript column."""
-    engine, reference = engine_result.transcript, reference_result.transcript
-    assert np.array_equal(engine.market_values, reference.market_values)
-    assert np.array_equal(engine.link_values, reference.link_values)
-    assert np.array_equal(engine.reserve_values, reference.reserve_values, equal_nan=True)
-    assert np.array_equal(engine.link_prices, reference.link_prices, equal_nan=True)
-    assert np.array_equal(engine.posted_prices, reference.posted_prices, equal_nan=True)
-    assert np.array_equal(engine.sold, reference.sold)
-    assert np.array_equal(engine.skipped, reference.skipped)
-    assert np.array_equal(engine.exploratory, reference.exploratory)
-    assert np.array_equal(engine.regrets, reference.regrets)
+    """Bit-exact equality of every transcript column and the regret curve."""
+    assert_bit_exact(engine_result.transcript, reference_result.transcript)
     assert np.array_equal(
         engine_result.cumulative_regret_curve(), reference_result.cumulative_regret_curve()
     )
@@ -238,8 +229,7 @@ class TestLatencyAndNoisePaths:
         assert np.array_equal(
             np.array(engine.latency.samples_seconds), engine.transcript.latency_seconds
         )
-        assert np.array_equal(engine.transcript.posted_prices, reference.transcript.posted_prices, equal_nan=True)
-        assert np.array_equal(engine.transcript.sold, reference.transcript.sold)
+        assert_transcripts_identical(engine, reference)
 
     def test_compare_pricers_shares_one_noise_realization(self):
         # Regression for the shared-RNG bug: arrivals without pre-drawn noise

@@ -1,4 +1,4 @@
-"""The two-tier exactness contract and the ``backend=`` knob plumbing."""
+"""The bit-exact comparators: ``assert_bit_exact`` and ``state_equal``."""
 
 import numpy as np
 import pytest
@@ -6,24 +6,8 @@ import pytest
 from repro.core.models import LinearModel
 from repro.core.pricing import make_pricer
 from repro.core.simulation import QueryArrival
-from repro.engine import ArrivalBatch, MarketScenario, RunMatrix, simulate
-from repro.engine.equivalence import (
-    BIT_EXACT_TIER,
-    EXACT_BACKENDS,
-    KNOWLEDGE_GEOMETRY,
-    REGRET_CURVES,
-    RELAXED_BACKENDS,
-    RELAXED_TIER,
-    TRANSCRIPT_AGGREGATES,
-    TolerancePolicy,
-    assert_bit_exact,
-    assert_regret_curves_close,
-    assert_states_close,
-    assert_transcripts_close,
-    decision_flips,
-    tier_for_backend,
-)
-from repro.engine.runner import run_batch_chunked
+from repro.engine import ArrivalBatch, simulate
+from repro.engine.equivalence import assert_bit_exact, state_equal
 
 
 def _scenario(seed=5, rounds=160, dimension=4):
@@ -51,54 +35,12 @@ def _pricer(dimension=4):
     )
 
 
-class TestTiers:
-    def test_exact_backends(self):
-        assert tier_for_backend(None) == BIT_EXACT_TIER
-        assert tier_for_backend("reference") == BIT_EXACT_TIER
-
-    def test_relaxed_backends(self):
-        for name in RELAXED_BACKENDS:
-            assert tier_for_backend(name) == RELAXED_TIER
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            tier_for_backend("bogus")
-
-    def test_tiers_are_disjoint(self):
-        assert not set(EXACT_BACKENDS) & set(RELAXED_BACKENDS)
-
-
-class TestTolerancePolicy:
-    def test_zero_flip_fraction_means_zero_budget(self):
-        policy = TolerancePolicy(name="p", rtol=1e-7, atol=1e-9)
-        assert policy.max_flips(10_000) == 0
-
-    def test_flip_budget_rounds_up(self):
-        assert TRANSCRIPT_AGGREGATES.max_flips(512) == 1
-        assert TRANSCRIPT_AGGREGATES.max_flips(20_000) == 2
-
-    def test_nan_matches_nan(self):
-        policy = REGRET_CURVES
-        assert policy.isclose([1.0, np.nan], [1.0, np.nan])
-        assert not policy.isclose([1.0, np.nan], [1.0, 2.0])
-
-    def test_assert_close_reports_worst_offender(self):
-        policy = TolerancePolicy(name="tight", rtol=1e-12, atol=0.0)
-        with pytest.raises(AssertionError, match="worst at"):
-            policy.assert_close([1.0, 2.0], [1.0, 2.5], "col")
-
-    def test_assert_close_rejects_shape_mismatch(self):
-        with pytest.raises(AssertionError, match="shape mismatch"):
-            REGRET_CURVES.assert_close(np.zeros(3), np.zeros(4), "col")
-
-
 class TestTranscriptComparators:
     def test_bit_exact_on_identical_runs(self):
         model, batch = _scenario()
         first = simulate(model, _pricer(), batch)
         second = simulate(model, _pricer(), batch)
         assert_bit_exact(first.transcript, second.transcript)
-        assert decision_flips(first.transcript, second.transcript) == 0
 
     def test_bit_exact_flags_single_ulp(self):
         model, batch = _scenario()
@@ -113,129 +55,42 @@ class TestTranscriptComparators:
         perturbed["link_prices"][index] = np.nextafter(
             perturbed["link_prices"][index], np.inf
         )
-        with pytest.raises(AssertionError, match="bit-exact tier violated"):
+        with pytest.raises(AssertionError, match="bit-exact contract violated"):
             assert_bit_exact(perturbed, columns)
 
-    def test_relaxed_tier_rejects_excess_flips(self):
-        sold = np.zeros(100, dtype=bool)
-        flipped = sold.copy()
-        flipped[:5] = True
-        with pytest.raises(AssertionError, match="decision flips"):
-            assert_transcripts_close({"sold": sold}, {"sold": flipped})
+    def test_bit_exact_flags_signed_zero(self):
+        with pytest.raises(AssertionError, match="bit-exact contract violated"):
+            assert_bit_exact(
+                {"regrets": np.array([0.0, 1.0])}, {"regrets": np.array([-0.0, 1.0])}
+            )
 
-    def test_regret_curves_accept_raw_arrays(self):
-        regrets = np.linspace(0.0, 1.0, 50)
-        assert_regret_curves_close(regrets, regrets + 1e-12)
-        with pytest.raises(AssertionError):
-            assert_regret_curves_close(regrets, regrets + 1e-3)
+    def test_bit_exact_requires_the_same_columns(self):
+        model, batch = _scenario(rounds=8)
+        result = simulate(model, _pricer(), batch)
+        partial = {"sold": np.array(result.transcript.sold)}
+        with pytest.raises(AssertionError, match="columns"):
+            assert_bit_exact(partial, result.transcript)
 
 
 class TestStateComparator:
-    def test_scalar_mismatch_is_structural(self):
-        pricer_a = _pricer()
-        pricer_b = _pricer()
+    def test_counter_mismatch_is_unequal(self):
+        state = _pricer().state_dict()
+        assert state_equal(_pricer().state_dict(), state)
+        bumped = _pricer().state_dict()
+        bumped["cuts_applied"] += 1
+        assert not state_equal(bumped, state)
+
+    def test_single_ulp_in_geometry_is_unequal(self):
         model, batch = _scenario(rounds=40)
-        simulate(model, pricer_a, batch)
-        with pytest.raises(AssertionError, match="structural/scalar"):
-            assert_states_close(pricer_a.state_dict(), pricer_b.state_dict())
+        pricer = _pricer()
+        simulate(model, pricer, batch)
+        state = pricer.state_dict()
+        moved = pricer.state_dict()
+        center = moved["knowledge"]["center"]
+        center[0] = np.nextafter(center[0], np.inf)
+        assert not state_equal(moved, state)
 
-    def test_geometry_within_policy_passes(self):
-        model, batch = _scenario(rounds=40)
-        pricer_a, pricer_b = _pricer(), _pricer()
-        simulate(model, pricer_a, batch)
-        simulate(model, pricer_b, batch)
-        state = pricer_b.state_dict()
-        state["knowledge"]["center"] = state["knowledge"]["center"] * (1 + 1e-9)
-        assert_states_close(pricer_a.state_dict(), state, KNOWLEDGE_GEOMETRY)
-
-
-class TestBackendKnobPlumbing:
-    def test_simulate_rejects_unknown_backend(self):
-        model, batch = _scenario(rounds=8)
-        with pytest.raises(ValueError, match="unknown backend"):
-            simulate(model, _pricer(), batch, backend="bogus")
-
-    def test_chunked_rejects_unknown_backend(self):
-        model, batch = _scenario(rounds=8)
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_batch_chunked(model, _pricer(), batch, backend="bogus")
-
-    def test_runmatrix_rejects_unknown_backend(self):
-        matrix = RunMatrix()
-        model, batch = _scenario(rounds=8)
-        matrix.add_scenario(
-            "s",
-            lambda: MarketScenario(name="s", model=model, batch=batch, context={}),
-        )
-        matrix.add_pricer("ellipsoid", lambda scenario: _pricer())
-        matrix.add_cross()
-        with pytest.raises(ValueError, match="unknown backend"):
-            matrix.run(backend="bogus")
-
-    def test_reference_backend_is_bit_exact(self):
-        model, batch = _scenario()
-        default = simulate(model, _pricer(), batch)
-        reference = simulate(model, _pricer(), batch, backend="reference")
-        assert_bit_exact(reference.transcript, default.transcript)
-
-    def test_batched_backend_through_simulate(self):
-        model, batch = _scenario(rounds=240)
-        ref_pricer, fast_pricer = _pricer(), _pricer()
-        reference = simulate(model, ref_pricer, batch)
-        batched = simulate(model, fast_pricer, batch, backend="batched")
-        assert decision_flips(batched.transcript, reference.transcript) == 0
-        assert_transcripts_close(batched.transcript, reference.transcript)
-        assert_regret_curves_close(batched.transcript, reference.transcript)
-        assert_states_close(fast_pricer.state_dict(), ref_pricer.state_dict())
-
-    def test_batched_backend_through_chunked(self):
-        model, batch = _scenario(rounds=240)
-        ref_pricer, fast_pricer = _pricer(), _pricer()
-        reference = simulate(model, ref_pricer, batch)
-        chunked = run_batch_chunked(
-            model, fast_pricer, batch, chunk_size=64, backend="batched"
-        )
-        assert_transcripts_close(chunked.transcript, reference.transcript)
-        assert_states_close(fast_pricer.state_dict(), ref_pricer.state_dict())
-
-    def test_batched_backend_through_runmatrix(self):
-        model, batch = _scenario(rounds=160)
-        results = {}
-        for backend in (None, "batched"):
-            matrix = RunMatrix()
-            matrix.add_scenario(
-                "s",
-                lambda: MarketScenario(name="s", model=model, batch=batch, context={}),
-            )
-            matrix.add_pricer("ellipsoid", lambda scenario: _pricer())
-            matrix.add_cross()
-            results[backend] = matrix.run(backend=backend)
-        ref = results[None].get("s", "ellipsoid").transcript
-        fast = results["batched"].get("s", "ellipsoid").transcript
-        assert_transcripts_close(fast, ref)
-
-    def test_interval_pricer_ignores_backend(self):
-        # dimension-1 pricers have no stacked kernel; backend must be
-        # accepted (it is a valid relaxed name) and reproduce bit-exactly.
-        rng = np.random.default_rng(9)
-        theta = np.array([1.3])
-        model = LinearModel(theta)
-        arrivals = [
-            QueryArrival(
-                features=np.array([abs(x) + 0.05]),
-                reserve_value=0.5,
-                noise=0.0,
-            )
-            for x in rng.standard_normal(60)
-        ]
-        batch = ArrivalBatch.from_arrivals(arrivals)
-        reference = simulate(
-            model, make_pricer(dimension=1, radius=2.0, epsilon=0.01), batch
-        )
-        batched = simulate(
-            model,
-            make_pricer(dimension=1, radius=2.0, epsilon=0.01),
-            batch,
-            backend="batched",
-        )
-        assert_bit_exact(batched.transcript, reference.transcript)
+    def test_signed_zero_is_unequal(self):
+        assert not state_equal(np.array([0.0]), np.array([-0.0]))
+        assert not state_equal({"x": 0.0}, {"x": -0.0})
+        assert state_equal({"x": float("nan")}, {"x": float("nan")})

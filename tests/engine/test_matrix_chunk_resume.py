@@ -21,6 +21,7 @@ from repro.engine import (
     MarketScenario,
     RunCellError,
     RunMatrix,
+    assert_bit_exact,
     prepare,
     run_batch_chunked,
     simulate,
@@ -100,12 +101,6 @@ def _expected(model, batch):
     return result.transcript
 
 
-def _assert_transcripts_equal(actual, expected):
-    for name in ("link_prices", "posted_prices", "sold", "skipped", "regrets"):
-        left, right = getattr(actual, name), getattr(expected, name)
-        assert np.array_equal(left, right, equal_nan=left.dtype.kind == "f"), name
-
-
 @pytest.mark.parametrize("executor", ["serial", "thread"])
 def test_crashed_sharded_sweep_resumes_mid_cell(tmp_path, executor):
     model, batch = _market()
@@ -129,7 +124,7 @@ def test_crashed_sharded_sweep_resumes_mid_cell(tmp_path, executor):
     # Only the rounds after the last persisted boundary re-ran.
     assert len(resume_log) == ROUNDS - 2 * CHUNK
     assert resume_log[0] == 2 * CHUNK
-    _assert_transcripts_equal(grid.get("m", "counting").transcript, _expected(model, batch))
+    assert_bit_exact(grid.get("m", "counting").transcript, _expected(model, batch))
     # The finished cell superseded its chunk file with a result file.
     assert not glob.glob(os.path.join(checkpoint_dir, "*.chunk.npz"))
     assert glob.glob(os.path.join(checkpoint_dir, "*.result.npz"))
@@ -143,7 +138,7 @@ def test_completed_sweep_leaves_no_chunk_files(tmp_path):
     )
     assert len(log) == ROUNDS
     assert not glob.glob(os.path.join(str(tmp_path), "*.chunk.npz"))
-    _assert_transcripts_equal(grid.get("m", "counting").transcript, _expected(model, batch))
+    assert_bit_exact(grid.get("m", "counting").transcript, _expected(model, batch))
 
 
 def test_foreign_chunk_file_is_ignored(tmp_path):
@@ -177,7 +172,7 @@ def test_foreign_chunk_file_is_ignored(tmp_path):
     # The foreign file was detected via the market fingerprint and the cell
     # ran from round zero.
     assert len(log) == ROUNDS
-    _assert_transcripts_equal(grid.get("m", "counting").transcript, _expected(model, batch))
+    assert_bit_exact(grid.get("m", "counting").transcript, _expected(model, batch))
 
 
 def test_sharded_resume_matches_serial_resume_format(tmp_path):
@@ -201,4 +196,4 @@ def test_sharded_resume_matches_serial_resume_format(tmp_path):
         resume=True,
     )
     assert len(log) == ROUNDS - 2 * CHUNK
-    _assert_transcripts_equal(result.transcript, _expected(model, batch))
+    assert_bit_exact(result.transcript, _expected(model, batch))

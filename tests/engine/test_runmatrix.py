@@ -9,7 +9,7 @@ from repro.core.baselines import RiskAversePricer
 from repro.core.models import LinearModel
 from repro.core.pricing import make_pricer
 from repro.core.simulation import MarketSimulator, QueryArrival
-from repro.engine import ArrivalBatch, MarketScenario, RunMatrix
+from repro.engine import ArrivalBatch, MarketScenario, RunMatrix, assert_bit_exact
 
 
 def _scenario(seed, rounds=200, dimension=3, name=None):
@@ -90,10 +90,7 @@ class TestExecution:
         grid = _build_matrix().run(executor="serial")
         expected = _expected_cell(1)
         got = grid.get("A", "ellipsoid")
-        assert np.array_equal(
-            got.transcript.posted_prices, expected.transcript.posted_prices, equal_nan=True
-        )
-        assert np.array_equal(got.transcript.regrets, expected.transcript.regrets)
+        assert_bit_exact(got.transcript, expected.transcript)
         assert got.pricer_name == "ellipsoid"
 
     def test_thread_matches_serial(self):
@@ -101,10 +98,7 @@ class TestExecution:
         threaded = _build_matrix().run(executor="thread", max_workers=2)
         for cell, result in serial:
             other = threaded.get(cell.scenario, cell.pricer)
-            assert np.array_equal(
-                result.transcript.posted_prices, other.transcript.posted_prices, equal_nan=True
-            )
-            assert np.array_equal(result.transcript.sold, other.transcript.sold)
+            assert_bit_exact(other.transcript, result.transcript, repr(cell))
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
@@ -115,10 +109,7 @@ class TestExecution:
         processed = _build_matrix().run(executor="process", max_workers=2)
         for cell, result in serial:
             other = processed.get(cell.scenario, cell.pricer)
-            assert np.array_equal(
-                result.transcript.posted_prices, other.transcript.posted_prices, equal_nan=True
-            )
-            assert np.array_equal(result.transcript.regrets, other.transcript.regrets)
+            assert_bit_exact(other.transcript, result.transcript, repr(cell))
 
     def test_by_scenario_and_by_pricer_views(self):
         grid = _build_matrix().run(executor="serial")

@@ -9,7 +9,13 @@ import pytest
 from repro.core.baselines import RiskAversePricer
 from repro.core.models import LinearModel
 from repro.core.pricing import make_pricer
-from repro.engine import ArrivalBatch, MarketScenario, RunCellError, RunMatrix
+from repro.engine import (
+    ArrivalBatch,
+    MarketScenario,
+    RunCellError,
+    RunMatrix,
+    assert_bit_exact,
+)
 from repro.engine.records import QueryArrival
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -73,11 +79,7 @@ def _build_matrix(rounds=240):
 def _assert_grids_equal(expected, actual):
     for cell, result in expected:
         other = actual.get(cell.scenario, cell.pricer)
-        assert np.array_equal(
-            result.transcript.link_prices, other.transcript.link_prices, equal_nan=True
-        ), cell
-        assert np.array_equal(result.transcript.sold, other.transcript.sold), cell
-        assert np.array_equal(result.transcript.regrets, other.transcript.regrets), cell
+        assert_bit_exact(other.transcript, result.transcript, repr(cell))
 
 
 class TestSharding:

@@ -14,8 +14,7 @@ the platform's libm.  Noise and reserves are pre-drawn and **stored** in the
 fixture, which means the replay exercises exactly the committed market even
 if the generator's arithmetic ever drifted.  The replay itself still goes
 through per-row ``numpy`` dot products, which are deterministic for a given
-BLAS build; on an exotic BLAS the strict comparison can be relaxed with the
-``REPRO_GOLDEN_ATOL`` environment variable (see the test module).
+BLAS build.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from repro.core.models import LinearModel
 from repro.core.pricing import make_pricer
 from repro.core.sgd_pricer import SGDContextualPricer
 from repro.engine import ArrivalBatch
+from repro.engine.equivalence import TRANSCRIPT_COLUMNS
 
 #: Horizon of every golden fixture.
 GOLDEN_ROUNDS = 512
@@ -42,17 +42,7 @@ GOLDEN_ROUNDS = 512
 GOLDEN_DIR = os.path.dirname(os.path.abspath(__file__))
 
 #: Transcript columns pinned by the fixtures, in a fixed order.
-GOLDEN_COLUMNS = (
-    "link_values",
-    "market_values",
-    "reserve_values",
-    "link_prices",
-    "posted_prices",
-    "sold",
-    "skipped",
-    "exploratory",
-    "regrets",
-)
+GOLDEN_COLUMNS = TRANSCRIPT_COLUMNS
 
 
 def _uniform_market(seed: int, dimension: int, rounds: int = GOLDEN_ROUNDS):

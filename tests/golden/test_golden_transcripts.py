@@ -13,10 +13,6 @@ transcripts per pricer family under ``tests/golden/``, replayed here with
 
 Regenerate fixtures with ``scripts/make_golden_transcripts.py`` only for
 deliberate algorithm changes.
-
-Escape hatch: on hosts whose BLAS rounds dot products differently (the only
-platform-dependent operation in the replay), set ``REPRO_GOLDEN_ATOL`` to a
-small tolerance (e.g. ``1e-12``) instead of deleting the tier.
 """
 
 import os
@@ -26,14 +22,12 @@ import pytest
 
 import golden_specs
 
-from repro.engine import run_batch_chunked, simulate, simulate_reference
+from repro.engine import assert_bit_exact, run_batch_chunked, simulate, simulate_reference
 
 FAMILIES = sorted(golden_specs.GOLDEN_SPECS)
 
 #: Chunk sizes exercised against the committed transcripts (T = 512).
 GOLDEN_CHUNK_SIZES = (7, 256, 512)
-
-_ATOL = float(os.environ.get("REPRO_GOLDEN_ATOL", "0") or 0)
 
 
 def _load(family):
@@ -45,16 +39,8 @@ def _load(family):
 
 
 def _assert_matches_golden(transcript, data, context):
-    for name in golden_specs.GOLDEN_COLUMNS:
-        actual = getattr(transcript, name)
-        expected = data["expected_%s" % name]
-        if _ATOL and actual.dtype.kind == "f":
-            matches = np.allclose(actual, expected, rtol=0.0, atol=_ATOL, equal_nan=True)
-        elif actual.dtype.kind == "f":
-            matches = np.array_equal(actual, expected, equal_nan=True)
-        else:
-            matches = np.array_equal(actual, expected)
-        assert matches, "%s: column %r diverged from the golden transcript" % (context, name)
+    expected = {name: data["expected_%s" % name] for name in golden_specs.GOLDEN_COLUMNS}
+    assert_bit_exact(transcript, expected, context)
 
 
 class TestGoldenTranscripts:

@@ -11,13 +11,13 @@ identical propose/update protocol, so not a single bit may move.
 import os
 import sys
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "golden"))
 import golden_specs
 
 from repro.engine import prepare, simulate
+from repro.engine.equivalence import assert_bit_exact, transcript_columns
 from repro.exceptions import ServingError
 from repro.serving import (
     MicroBatchConfig,
@@ -29,19 +29,6 @@ from repro.serving import (
     serve_closed_loop_socket,
     start_frontend_thread,
 )
-
-#: Transcript columns compared exactly (regret included — it is derived from
-#: the others, so a mismatch there would flag an accounting divergence).
-COLUMNS = ("link_prices", "posted_prices", "sold", "skipped", "exploratory", "regrets")
-
-
-def _assert_identical(actual, expected, context=""):
-    for name in COLUMNS:
-        left, right = getattr(actual, name), getattr(expected, name)
-        assert np.array_equal(left, right, equal_nan=left.dtype.kind == "f"), (
-            "%s column %r diverged" % (context, name)
-        )
-
 
 def _offline(family):
     model, batch, theta = golden_specs.build_market(family)
@@ -77,7 +64,7 @@ def test_closed_loop_through_socket_and_shard_matches_offline(tmp_path, family):
                 online = serve_closed_loop_socket(client, key, materialized)
         finally:
             handle.stop()
-    _assert_identical(online.transcript, offline.transcript, context=family)
+    assert_bit_exact(online.transcript, offline.transcript, family)
 
 
 def test_closed_loop_through_tcp_socket_with_in_process_service():
@@ -100,12 +87,10 @@ def test_closed_loop_through_tcp_socket_with_in_process_service():
             online = serve_closed_loop_socket(client, key, window)
     finally:
         handle.stop()
-    for name in ("link_prices", "posted_prices", "sold", "skipped", "exploratory"):
-        assert np.array_equal(
-            getattr(online.transcript, name),
-            getattr(offline.transcript, name)[:128],
-            equal_nan=getattr(online.transcript, name).dtype.kind == "f",
-        ), name
+    prefix = {
+        name: column[:128] for name, column in transcript_columns(offline.transcript).items()
+    }
+    assert_bit_exact(online.transcript, prefix, family)
     assert service.stats.quotes_served == 128
 
 

@@ -22,20 +22,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 import golden_specs
 
 from repro.engine import prepare, simulate
+from repro.engine.equivalence import TRANSCRIPT_COLUMNS, assert_bit_exact
 from repro.serving import PricerRegistry, QuoteService, SessionKey, serve_closed_loop
-
-#: Transcript columns compared exactly (regret included — it is derived from
-#: the others, so a mismatch there would flag an accounting divergence).
-COLUMNS = ("link_prices", "posted_prices", "sold", "skipped", "exploratory", "regrets")
-
-
-def _assert_identical(actual, expected, context=""):
-    for name in COLUMNS:
-        left, right = getattr(actual, name), getattr(expected, name)
-        assert np.array_equal(left, right, equal_nan=left.dtype.kind == "f"), (
-            "%s column %r diverged" % (context, name)
-        )
-
 
 def _serving_setup(family, model, theta):
     key = SessionKey(app="golden", segment=family)
@@ -54,7 +42,7 @@ def test_closed_loop_session_matches_offline_engine(family):
     )
     key, service = _serving_setup(family, model, theta)
     online = serve_closed_loop(service, key, materialized)
-    _assert_identical(online.transcript, offline.transcript, context=family)
+    assert_bit_exact(online.transcript, offline.transcript, family)
     assert service.stats.quotes_served == materialized.rounds
     assert service.stats.feedback_applied == materialized.rounds
     session = service.registry.peek(key)
@@ -91,9 +79,10 @@ def test_hydrated_session_continues_bit_identically(tmp_path, family):
     assert session.hydrated
     assert second_registry.stats.hydrations == 1
 
-    for name in ("link_prices", "posted_prices", "sold", "skipped", "exploratory"):
-        stitched = np.concatenate(
+    stitched = {
+        name: np.concatenate(
             [getattr(first.transcript, name), getattr(second.transcript, name)]
         )
-        reference = getattr(offline.transcript, name)
-        assert np.array_equal(stitched, reference, equal_nan=reference.dtype.kind == "f"), name
+        for name in TRANSCRIPT_COLUMNS
+    }
+    assert_bit_exact(stitched, offline.transcript, family)

@@ -26,7 +26,7 @@ from repro.apps.noisy_linear_query import (
     build_noisy_query_environment,
 )
 from repro.core.knowledge import PolytopeKnowledge
-from repro.engine import load_checkpoint, prepare, simulate, stream_rounds
+from repro.engine import load_checkpoint, prepare, simulate, state_equal, stream_rounds
 from repro.serving import (
     FeedbackEvent,
     PricerRegistry,
@@ -36,7 +36,6 @@ from repro.serving import (
     export_segments_to_legacy,
     list_segment_sessions,
 )
-from repro.serving.resharding import state_equal
 from repro.serving.store import SEGMENT_DIR, SEGMENT_INDEX, SESSION_SUFFIX
 
 ALL_FAMILIES = sorted(golden_specs.GOLDEN_SPECS)

@@ -37,6 +37,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 import golden_specs
 
 from repro.engine import prepare, simulate
+from repro.engine.equivalence import assert_bit_exact
 from repro.exceptions import ServingError
 from repro.serving import (
     WIRE_V1,
@@ -463,16 +464,6 @@ def test_v1_client_unchanged_against_v2_server(tmp_path):
 # Golden replay through the v2 socket path
 # --------------------------------------------------------------------------- #
 
-COLUMNS = ("link_prices", "posted_prices", "sold", "skipped", "exploratory", "regrets")
-
-
-def _assert_identical(actual, expected, context=""):
-    for name in COLUMNS:
-        left, right = getattr(actual, name), getattr(expected, name)
-        assert np.array_equal(left, right, equal_nan=left.dtype.kind == "f"), (
-            "%s column %r diverged" % (context, name)
-        )
-
 
 @pytest.mark.parametrize("family", sorted(golden_specs.GOLDEN_SPECS))
 def test_golden_families_bit_identical_through_v2_sync_client(tmp_path, family):
@@ -489,7 +480,7 @@ def test_golden_families_bit_identical_through_v2_sync_client(tmp_path, family):
             online = serve_closed_loop_socket(client, key, materialized)
     finally:
         handle.stop()
-    _assert_identical(online.transcript, offline.transcript, context=family)
+    assert_bit_exact(online.transcript, offline.transcript, family)
 
 
 @pytest.mark.parametrize("family", sorted(golden_specs.GOLDEN_SPECS))
@@ -513,7 +504,7 @@ def test_golden_families_bit_identical_through_v2_async_client(tmp_path, family)
         online = asyncio.run(_replay())
     finally:
         handle.stop()
-    _assert_identical(online.transcript, offline.transcript, context=family)
+    assert_bit_exact(online.transcript, offline.transcript, family)
 
 
 def test_batch_submit_primitives_roundtrip(tmp_path):
