@@ -44,8 +44,8 @@ Six measurement modes, all written into one ``BENCH_serving.json``:
   of ``--zipf-max-sessions``, so the tail of the distribution thrashes
   through persist → clock-evict → hydrate continuously.  Reports
   hydration-storm latency percentiles, resident-memory bytes (and
-  bytes/session — the CI regression gate), the zero-copy vs legacy
-  hydration split, and an eviction-cost curve across resident set sizes:
+  bytes/session — the CI regression gate), the zero-copy hydration count,
+  and an eviction-cost curve across resident set sizes:
   clock-hand steps per eviction must stay flat as the resident set grows —
   the O(1) replacement for the old O(n) LRU scan.
 
@@ -187,12 +187,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         type=int,
         default=4096,
         help="residency bound for the Zipf sweep (the clock-eviction stress)",
-    )
-    parser.add_argument(
-        "--zipf-format",
-        choices=("legacy", "segment"),
-        default="segment",
-        help="snapshot format the Zipf sweep persists through",
     )
     parser.add_argument(
         "--min-qps",
@@ -699,14 +693,8 @@ def run_zipf_popularity(args, environment, materialized):
 
     print(
         "zipf popularity sweep: %d sessions, a=%.2f, %d events, "
-        "max %d resident, %s snapshots ..."
-        % (
-            num_sessions,
-            args.zipf_a,
-            args.zipf_events,
-            args.zipf_max_sessions,
-            args.zipf_format,
-        )
+        "max %d resident ..."
+        % (num_sessions, args.zipf_a, args.zipf_events, args.zipf_max_sessions)
     )
     rng = np.random.default_rng(args.seed)
     pmf = np.arange(1, num_sessions + 1, dtype=np.float64) ** -args.zipf_a
@@ -720,7 +708,6 @@ def run_zipf_popularity(args, environment, materialized):
             factory,
             snapshot_dir=snapshot_dir,
             max_sessions=max_sessions,
-            snapshot_format=args.zipf_format,
         )
         service = QuoteService(registry, config=micro_batch_config(args))
         start = time.perf_counter()
@@ -823,7 +810,6 @@ def run_zipf_popularity(args, environment, materialized):
         {
             "sessions": num_sessions,
             "zipf_a": args.zipf_a,
-            "snapshot_format": args.zipf_format,
             "eviction_cost": curve,
         }
     )

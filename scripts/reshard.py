@@ -8,10 +8,12 @@ to under the *new* count — otherwise a restarted service re-creates the
 sessions from scratch instead of hydrating their exact state.
 
 This CLI wraps :mod:`repro.serving.resharding`: it plans the migration from
-the source tree's checkpoint metadata, copies every ``.session.npz``
-byte-for-byte into the target layout, verifies each migrated checkpoint
-bit-exactly against its source, and prints (optionally writes) the report.
-The source tree is never modified.
+the source shards' segment indexes, appends every session's record bytes
+verbatim to the target layout's segment logs, verifies each migrated record
+byte for byte against its source, and prints (optionally writes) the
+report.  The source tree is never modified, so a tree that still holds
+``.session.npz`` files of an earlier version is refused: start the service
+on it once first.
 
 Usage::
 
@@ -55,7 +57,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument(
         "--no-verify",
         action="store_true",
-        help="skip the bit-exact checkpoint verification pass",
+        help="skip the byte-exact record verification pass",
     )
     parser.add_argument(
         "--report", default=None, help="write the migration report as JSON here"
@@ -86,7 +88,7 @@ def main(argv=None) -> int:
         print("  shard-%02d: %d session(s)" % (shard, histogram[shard]))
     if report.verified:
         print(
-            "verified: every migrated checkpoint is bit-identical to its source"
+            "verified: every migrated record is byte-identical to its source"
         )
     else:
         print("verification skipped (--no-verify)")

@@ -8,9 +8,9 @@ latency under live arrivals) as an actual serving layer:
   registry keyed by ``(app, segment)``: the live pricer is each resident
   session's only in-memory state; the registry hydrates pricers from
   snapshots, persists them on a write-behind cadence, and evicts cold
-  sessions with an O(1) clock hand, over mmap-backed snapshot segments with
-  a JSONL index sidecar (the legacy file-per-session ``.npz`` format stays
-  readable and is the default);
+  sessions with an O(1) clock hand, over one snapshot format: a segment log
+  of mmap-backed data files and a JSONL index, compacted once dead entries
+  outweigh live ones;
 * :mod:`repro.serving.service` — :class:`QuoteService`, a micro-batching
   quote queue that coalesces concurrent requests within a time/size window
   into columnar ``propose_batch`` calls where legal, plus the feedback path
@@ -23,7 +23,7 @@ latency under live arrivals) as an actual serving layer:
   (``tests/serving/`` pins this for every golden pricer family);
 * :mod:`repro.serving.sharding` — :class:`ShardedRegistry`, a router hashing
   session keys across N worker processes (one registry + service per
-  worker, quote/feedback dispatch over pipes, per-shard snapshot dirs);
+  worker, quote/feedback dispatch over pipes, a segment log per shard);
 * :mod:`repro.serving.wire` — the framing layer and both wire formats
   (length-prefixed JSON v1 and the columnar binary v2 negotiated per
   connection), shared by the server and both clients;
@@ -38,15 +38,15 @@ latency under live arrivals) as an actual serving layer:
   asyncio client (multiple outstanding requests per connection, futures
   keyed by request tag) and :func:`serve_closed_loop_async`;
 * :mod:`repro.serving.resharding` — **offline** snapshot migration between
-  shard counts: rewrite per-shard snapshot dirs from N to M shards under
-  the stable key hash, with exact-state verification
+  shard counts: append every segment record of an N-shard tree verbatim to
+  the log its key hashes to under M shards, with byte-exact verification
   (``scripts/reshard.py`` is the CLI);
 * :mod:`repro.serving.rebalance` — **online** N→M resharding:
   :class:`LiveRebalancer` re-homes sessions one at a time through the
-  router's per-session quiesce (park admissions, drain, move the
-  checkpoint, replay parked quotes on the target shard) while every other
-  session keeps serving, then commits the versioned routing table
-  (``scripts/rebalance.py`` is the CLI).
+  router's per-session quiesce (park admissions, drain, relay the segment
+  record to the target shard's log, replay parked quotes on the target
+  shard) while every other session keeps serving, then commits the
+  versioned routing table (``scripts/rebalance.py`` is the CLI).
 
 Load generation lives in ``scripts/bench_serving.py`` (quotes/sec, p50/p99
 quote latency, replay-at-rate pacing — in-process and through the socket —
@@ -94,7 +94,6 @@ from repro.serving.store import (
     PricingSession,
     RegistryStats,
     SegmentLog,
-    export_segments_to_legacy,
     list_segment_sessions,
 )
 from repro.serving.wire import WIRE_V1, WIRE_V2
@@ -131,7 +130,6 @@ __all__ = [
     "WIRE_V2",
     "dataset_arrival_features",
     "dataset_replay_market",
-    "export_segments_to_legacy",
     "frame_sold_at",
     "list_segment_sessions",
     "plan_reshard",

@@ -5,18 +5,19 @@ service is stopped, the tree is rewritten, the service restarts on the new
 layout.  This module closes the remaining gap: :class:`LiveRebalancer`
 re-homes sessions **under traffic**, one at a time, through
 :meth:`~repro.serving.sharding.ShardedRegistry.rehome_session`'s
-per-session quiesce (park new admissions, drain, export the checkpoint,
-copy it byte-exactly, re-attach on the target, replay the parked quotes) —
-every session *not* currently moving keeps serving throughout, and the
-whole migration is verifiable by the same bit-exactness contract as the
-offline path.
+per-session quiesce (park new admissions, drain, export the session's
+segment record, append its bytes verbatim to the target shard's log and
+read them back, re-attach on the target, replay the parked quotes) — every
+session *not* currently moving keeps serving throughout, and the whole
+migration is verifiable by the same bit-exactness contract as the offline
+path.
 
 The migration protocol for scaling N → M shards:
 
 1. **scale out** — spawn workers until ``max(N, M)`` are live; the hash
    placement still uses the old divisor, so new sessions keep landing on
    the old layout (no split-brain while moving);
-2. **sweep** — plan every session (resident *and* cold snapshot files)
+2. **sweep** — plan every session (resident *and* cold segment records)
    whose current shard differs from its hash placement under ``M``, and
    re-home each; re-plan and repeat until a sweep finds nothing, which
    also catches sessions created mid-migration on the old placement;
@@ -45,18 +46,12 @@ the offline engine exactly, with zero lost quote ids.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.engine import checkpoint as checkpoint_store
 from repro.exceptions import RebalanceError, ReshardingError
 from repro.serving.requests import SessionKey
-from repro.serving.resharding import (
-    SESSION_SUFFIX,
-    checkpoint_session_key,
-    discover_shard_dirs,
-)
+from repro.serving.resharding import discover_shard_dirs
 from repro.serving.sharding import MAX_SHARDS, ShardedRegistry, shard_of_key
 from repro.serving.store import list_segment_sessions
 
@@ -81,9 +76,9 @@ class SessionRebalance:
     target: int
     #: Whether the session was resident (hot) on the source when moved.
     resident: bool
-    #: Whether the target worker re-hydrated it from the moved snapshot.
+    #: Whether the target worker re-hydrated it from the moved record.
     hydrated: bool
-    #: Whether a snapshot file crossed shard directories.
+    #: Whether a segment record crossed shards (the session had state).
     file_moved: bool
     #: Admissions parked during the move and replayed on the target.
     parked_replayed: int
@@ -146,10 +141,10 @@ class LiveRebalancer:
     ----------
     sharded:
         The live registry (its ``snapshot_dir`` must be set — session state
-        moves through checkpoint files).
+        moves between the shards' segment logs).
     target_shards:
         The desired shard count (1 ≤ M ≤ :data:`MAX_SHARDS`).
-    quiesce_timeout / poll_interval / verify:
+    quiesce_timeout / poll_interval:
         Forwarded to every
         :meth:`~repro.serving.sharding.ShardedRegistry.rehome_session` call.
     after_move:
@@ -169,7 +164,6 @@ class LiveRebalancer:
         target_shards: int,
         quiesce_timeout: float = 30.0,
         poll_interval: float = 0.002,
-        verify: bool = True,
         after_move: Optional[Callable[[int, SessionRebalance], None]] = None,
         before_commit: Optional[Callable[[], None]] = None,
     ) -> None:
@@ -186,19 +180,18 @@ class LiveRebalancer:
         self.target_shards = target_shards
         self.quiesce_timeout = quiesce_timeout
         self.poll_interval = poll_interval
-        self.verify = verify
         self.after_move = after_move
         self.before_commit = before_commit
 
     # ------------------------------------------------------------------ #
 
     def known_keys(self) -> List[SessionKey]:
-        """Every session the service knows: resident plus cold snapshots.
+        """Every session the service knows: resident plus cold records.
 
         Cold sessions (persisted then evicted, or never touched since a
-        restart) exist only as ``.session.npz`` files or segment-index
-        records — a migration that moved only resident sessions would
-        strand them on directories the new placement never reads.
+        restart) exist only as segment records — a migration that moved
+        only resident sessions would strand them on directories the new
+        placement never reads.
         """
         keys: Dict[SessionKey, None] = {}
         for shard_keys in self.sharded.resident_keys_by_shard().values():
@@ -210,13 +203,6 @@ class LiveRebalancer:
             # No shard-NN directories yet: nothing has ever persisted.
             dirs = {}
         for directory in dirs.values():
-            for name in sorted(os.listdir(directory)):
-                if not name.endswith(SESSION_SUFFIX):
-                    continue
-                checkpoint = checkpoint_store.load_checkpoint(
-                    os.path.join(directory, name)
-                )
-                keys.setdefault(checkpoint_session_key(checkpoint), None)
             for key in list_segment_sessions(directory):
                 keys.setdefault(key, None)
         return list(keys)
@@ -271,7 +257,6 @@ class LiveRebalancer:
                     desired,
                     quiesce_timeout=self.quiesce_timeout,
                     poll_interval=self.poll_interval,
-                    verify=self.verify,
                 )
                 if not result["moved"]:
                     continue

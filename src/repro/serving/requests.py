@@ -28,15 +28,15 @@ class SessionKey:
 
     The paper's broker prices many concurrent query streams (one per data
     application / consumer segment); each stream is one session with its own
-    pricer state.  ``(app, segment)`` is the registry key and the stem of the
-    session's snapshot file name.
+    pricer state.  ``(app, segment)`` is the registry key, and its slug
+    names the session's record in the segment log.
     """
 
     app: str
     segment: str
 
     def slug(self) -> str:
-        """A filesystem-safe stem for snapshot file names.
+        """A filesystem-safe name of the session's snapshot record.
 
         Derived once per instance and kept beside the fields, not among
         them, so equality, hashing, ``repr`` and pickles stay those of

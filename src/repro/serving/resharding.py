@@ -10,27 +10,33 @@ scratch instead of hydrating its state.
 
 This module is the offline migration tool that closes that gap.  A
 *reshard* walks the source layout (``<dir>/shard-00``, ``shard-01``, ...),
-recovers every session's identity from its checkpoint metadata (the
-``app``/``segment`` the registry stamps on each snapshot), and rewrites the
-tree under the **target** shard count — copying each ``.session.npz``
-byte-for-byte (the checkpoint format carries no shard information) into the
-directory its key hashes to under M shards.  Because placement is the only
-thing that changes, a service restarted on the migrated tree hydrates every
-session **bit-identically**: the golden resharding tier
+reads every session's segment record from each shard's index (the record
+names its ``app``/``segment``), and writes the tree under the **target**
+shard count: each record's bytes are appended verbatim to the segment log
+of the directory its key hashes to under M shards — only the record's file
+and offset change.  Because placement is the only thing that changes, a
+service restarted on the migrated tree hydrates every session
+**bit-identically**: the golden resharding tier
 (``tests/serving/test_resharding.py``) replays half a horizon on N shards,
 migrates, resumes on M shards, and pins the stitched transcript against the
 offline engine for every golden pricer family.
 
+It stays a tool of its own rather than
+:func:`~repro.serving.rebalance.rebalance_live` on an idle fleet: it needs
+no session factory and never writes its source tree.  For the second
+reason it refuses a source tree that still holds ``.session.npz`` files of
+an earlier version — moving those into a log writes the directory, which a
+registry does when it opens it.
+
 Verification levels:
 
-* **checkpoint-exact** (always, unless disabled): source and target
-  checkpoints are reloaded and compared — pricer type, rounds done, and
-  every state array bit-for-bit (``tobytes`` equality, so even NaN
-  payloads must match);
+* **record-exact** (always, unless disabled): every target record carries
+  its source record's pricer type, rounds, skeleton, array layout and meta,
+  and its bytes equal the source's byte for byte;
 * **hydration** (with a ``factory``): a fresh pricer is built for each
-  migrated key, the target checkpoint is restored into it, and its
+  migrated key, the target record is restored into it, and its
   re-extracted ``state_dict()`` must equal the source state exactly — the
-  full restart path, not just the file copy.
+  full restart path, not just the copy.
 
 ``scripts/reshard.py`` wraps this as a CLI.
 """
@@ -45,20 +51,25 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.engine import checkpoint as checkpoint_store
-from repro.engine.checkpoint import _atomic_write
 from repro.engine.equivalence import state_equal
 from repro.exceptions import ReshardingError
-from repro.serving.store import SESSION_SUFFIX
 from repro.serving.requests import SessionKey
 from repro.serving.sharding import shard_of_key
+from repro.serving.store import (
+    SESSION_SUFFIX,
+    SegmentLog,
+    SegmentRecord,
+    encode_record,
+    list_segment_sessions,
+    read_segment_payload,
+    read_segment_record,
+)
 
 __all__ = [
-    "SESSION_SUFFIX",
     "SessionMove",
     "ReshardReport",
     "shard_dir",
     "discover_shard_dirs",
-    "checkpoint_session_key",
     "plan_reshard",
     "reshard_snapshots",
     "verify_reshard",
@@ -74,8 +85,11 @@ class SessionMove:
     key: SessionKey
     source_shard: int
     target_shard: int
-    source_path: str
-    target_path: str
+    #: Shard directories of the source and the target tree.
+    source_dir: str
+    target_dir: str
+    #: The session's record in the source shard's log.
+    record: SegmentRecord
 
     @property
     def relocated(self) -> bool:
@@ -167,18 +181,6 @@ def discover_shard_dirs(snapshot_dir: str) -> Dict[int, str]:
     return found
 
 
-def checkpoint_session_key(checkpoint) -> SessionKey:
-    """Recover the session identity the registry stamped on a snapshot."""
-    app = checkpoint.meta.get("app")
-    segment = checkpoint.meta.get("segment")
-    if app is None or segment is None:
-        raise ReshardingError(
-            "snapshot carries no session identity (meta app/segment missing); "
-            "it was not written by a PricerRegistry"
-        )
-    return SessionKey(app=str(app), segment=str(segment))
-
-
 def plan_reshard(
     source_dir: str,
     target_dir: str,
@@ -197,21 +199,6 @@ def plan_reshard(
     if target_shards < 1:
         raise ReshardingError("target_shards must be at least 1, got %d" % target_shards)
     dirs = discover_shard_dirs(source_dir)
-    # The offline resharder moves sessions as individual ``.session.npz``
-    # files; a tree with live segment-resident sessions (the columnar
-    # store's ``snapshot_format="segment"``) would silently lose them.
-    from repro.serving.store import list_segment_sessions
-
-    for directory in dirs.values():
-        stranded = list_segment_sessions(directory)
-        if stranded:
-            raise ReshardingError(
-                "%s holds %d segment-resident session(s); offline resharding "
-                "operates on legacy files — run "
-                "repro.serving.store.export_segments_to_legacy on each shard "
-                "directory first, or migrate live with rebalance_live"
-                % (directory, len(stranded))
-            )
     inferred = max(dirs) + 1
     if source_shards is None:
         source_shards = inferred
@@ -226,15 +213,19 @@ def plan_reshard(
         source_shards=source_shards,
         target_shards=target_shards,
     )
-    seen: Dict[SessionKey, str] = {}
+    seen: Dict[SessionKey, int] = {}
     for shard_index in sorted(dirs):
         directory = dirs[shard_index]
-        for name in sorted(os.listdir(directory)):
-            if not name.endswith(SESSION_SUFFIX):
-                continue
-            source_path = os.path.join(directory, name)
-            checkpoint = checkpoint_store.load_checkpoint(source_path)
-            key = checkpoint_session_key(checkpoint)
+        old_files = [name for name in os.listdir(directory) if name.endswith(SESSION_SUFFIX)]
+        if old_files:
+            raise ReshardingError(
+                "%s holds %d %s file(s) of an earlier version; start the "
+                "service on the tree once (a registry moves them into its "
+                "segment log when it opens) and migrate again"
+                % (directory, len(old_files), SESSION_SUFFIX)
+            )
+        records = list_segment_sessions(directory)
+        for key, record in sorted(records.items(), key=lambda item: item[1].slug):
             expected = shard_of_key(key, source_shards)
             if expected != shard_index:
                 raise ReshardingError(
@@ -244,17 +235,19 @@ def plan_reshard(
                 )
             if key in seen:
                 raise ReshardingError(
-                    "session %s appears twice (%s and %s)" % (key, seen[key], source_path)
+                    "session %s appears twice (shard-%02d and shard-%02d)"
+                    % (key, seen[key], shard_index)
                 )
-            seen[key] = source_path
+            seen[key] = shard_index
             target = shard_of_key(key, target_shards)
             report.moves.append(
                 SessionMove(
                     key=key,
                     source_shard=shard_index,
                     target_shard=target,
-                    source_path=source_path,
-                    target_path=os.path.join(shard_dir(target_dir, target), name),
+                    source_dir=directory,
+                    target_dir=shard_dir(target_dir, target),
+                    record=record,
                 )
             )
     return report
@@ -272,18 +265,18 @@ def reshard_snapshots(
 
     Writes a complete target tree under ``target_dir`` (every
     ``shard-00 .. shard-(M-1)`` directory is created, so a restarted
-    :class:`ShardedRegistry` finds its full layout) and copies each session
-    snapshot — byte-for-byte, atomically — into the directory its key
-    hashes to under ``target_shards``.  The whole tree is staged in a
+    :class:`ShardedRegistry` finds its full layout) and appends each
+    session's record bytes verbatim to the segment log of the directory its
+    key hashes to under ``target_shards``.  The whole tree is staged in a
     hidden sibling directory and promoted into place with a single rename
-    once every copy succeeded, so a mid-copy failure (disk full, a
-    corrupt source file) leaves **no half-written target tree** behind —
+    once every append succeeded, so a mid-copy failure (disk full, a
+    corrupt source segment) leaves **no half-written target tree** behind —
     the staging directory is removed on raise and ``target_dir`` is
     untouched.  The source tree is never modified either, so a failed or
     interrupted migration cannot strand the running layout.
 
-    With ``verify=True`` every migrated checkpoint is reloaded and compared
-    bit-exactly against its source; passing a ``factory`` (the same
+    With ``verify=True`` every migrated record is compared byte for byte
+    against its source; passing a ``factory`` (the same
     ``key -> (model, pricer)`` callable the registry uses) additionally
     exercises the full hydration path.  Returns the :class:`ReshardReport`.
     """
@@ -310,14 +303,15 @@ def reshard_snapshots(
     os.makedirs(parent, exist_ok=True)
     staging = tempfile.mkdtemp(prefix=".reshard-staging-", dir=parent)
     try:
-        for shard in range(target_shards):
-            os.makedirs(shard_dir(staging, shard), exist_ok=True)
-        for move in report.moves:
-            staged_path = os.path.join(
-                staging, os.path.relpath(move.target_path, target_dir)
-            )
-            with open(move.source_path, "rb") as handle:
-                _atomic_write(staged_path, handle.read())
+        logs = [SegmentLog(shard_dir(staging, shard)) for shard in range(target_shards)]
+        try:
+            for move in report.moves:
+                logs[move.target_shard].append(
+                    move.record, read_segment_payload(move.source_dir, move.record)
+                )
+        finally:
+            for log in logs:
+                log.close()
         if os.path.isdir(target_dir):
             # Verified empty above; rename() needs the slot free.
             os.rmdir(target_dir)
@@ -333,66 +327,75 @@ def reshard_snapshots(
 def verify_reshard(report: ReshardReport, factory=None) -> ReshardReport:
     """Prove the migrated tree equals the source, session by session.
 
-    Checkpoint-exact always; with ``factory``, each migrated session is
-    additionally *hydrated* — a fresh pricer restored from the target file
-    must re-extract a ``state_dict()`` bit-identical to the source state,
-    and the re-extracted state must survive a save/load round trip (the
-    exact path a later re-persist of the hydrated session takes).  The
-    round trip runs in a scratch directory that is removed on success and
-    on every exception path, so verification never leaves temporary
-    hydration state behind in (or next to) the migrated tree.  Raises
-    :class:`ReshardingError` on the first divergence.
+    Record-exact always: the target record equals the source record but for
+    its file and offset, and its bytes equal the source's.  With
+    ``factory``, each migrated session is additionally *hydrated* — a fresh
+    pricer restored from the target record must re-extract a
+    ``state_dict()`` bit-identical to the source state, and the
+    re-extracted state must survive a re-persist into a segment log (the
+    exact path a later persist of the hydrated session takes).  The
+    re-persist runs in a scratch directory that is removed on success and
+    on every exception path.  Raises :class:`ReshardingError` on the first
+    divergence.
     """
+    targets: Dict[str, Dict[SessionKey, SegmentRecord]] = {}
     for move in report.moves:
-        source = checkpoint_store.load_checkpoint(move.source_path)
-        target = checkpoint_store.load_checkpoint(move.target_path)
-        if source.pricer_type != target.pricer_type:
+        if move.target_dir not in targets:
+            targets[move.target_dir] = list_segment_sessions(move.target_dir)
+        target = targets[move.target_dir].get(move.key)
+        if target is None:
             raise ReshardingError(
-                "migrated session %s changed pricer type (%r -> %r)"
-                % (move.key, source.pricer_type, target.pricer_type)
+                "migrated session %s is missing from %s" % (move.key, move.target_dir)
             )
-        if source.rounds_done != target.rounds_done:
+        source = move.record
+        moved_back = target._replace(file_id=source.file_id, offset=source.offset)
+        if moved_back.to_json_line() != source.to_json_line():
             raise ReshardingError(
-                "migrated session %s changed rounds_done (%d -> %d)"
-                % (move.key, source.rounds_done, target.rounds_done)
+                "migrated session %s changed its record" % (move.key,)
             )
-        if not state_equal(source.state, target.state):
+        if read_segment_payload(move.target_dir, target) != read_segment_payload(
+            move.source_dir, source
+        ):
             raise ReshardingError(
-                "migrated session %s diverged from its source checkpoint" % (move.key,)
+                "migrated session %s diverged from its source bytes" % (move.key,)
             )
         if factory is not None:
-            _verify_hydration(move, source, target, factory)
+            _verify_hydration(move, target, factory)
     report.verified = True
     report.hydration_verified = factory is not None
     return report
 
 
-def _verify_hydration(move: SessionMove, source, target, factory) -> None:
-    """Hydrate one migrated session and round-trip its re-extracted state.
+def _verify_hydration(move: SessionMove, target: SegmentRecord, factory) -> None:
+    """Hydrate one migrated session and re-persist its re-extracted state.
 
-    All temporary state (the scratch checkpoint of the hydrated pricer)
-    lives in a private directory that is removed in a ``finally`` — success
-    and every exception path (a divergence, a factory error, a corrupt
-    checkpoint) leave nothing behind.
+    All temporary state (the scratch log of the hydrated pricer) lives in a
+    private directory that is removed in a ``finally`` — success and every
+    exception path (a divergence, a factory error, a corrupt record) leave
+    nothing behind.
     """
     _model, pricer = factory(move.key)
-    checkpoint_store.restore_pricer(pricer, target)
+    source_state = read_segment_record(move.source_dir, move.record).state
+    checkpoint_store.restore_pricer(pricer, read_segment_record(move.target_dir, target))
     scratch = tempfile.mkdtemp(prefix=".reshard-verify-")
     try:
-        if not state_equal(pricer.state_dict(), source.state):
+        state = pricer.state_dict()
+        if not state_equal(state, source_state):
             raise ReshardingError(
-                "session %s hydrated from the migrated snapshot does not "
+                "session %s hydrated from the migrated record does not "
                 "reproduce the source state exactly" % (move.key,)
             )
-        scratch_path = os.path.join(scratch, "hydrated" + SESSION_SUFFIX)
-        checkpoint_store.save_checkpoint(
-            scratch_path,
-            pricer,
-            rounds_done=target.rounds_done,
-            meta=dict(target.meta),
-        )
-        reread = checkpoint_store.load_checkpoint(scratch_path)
-        if not state_equal(reread.state, source.state):
+        log = SegmentLog(scratch)
+        try:
+            skeleton, arrays = checkpoint_store.flatten_state(state)
+            again = log.append(
+                *encode_record(
+                    move.key, target.pricer_type, target.rounds_done, skeleton, arrays, target.meta
+                )
+            )
+        finally:
+            log.close()
+        if not state_equal(read_segment_record(scratch, again).state, source_state):
             raise ReshardingError(
                 "session %s does not survive a hydrate → re-persist round "
                 "trip bit-identically" % (move.key,)

@@ -7,7 +7,7 @@ shards through a **versioned routing table**: the default placement is a
 stable (process-independent) SHA-1 hash of the key, and per-key overrides
 re-home individual sessions while a live reshard is in flight — a session's
 entire lifetime (creation, every quote, every feedback event, its snapshot
-file) lives on exactly one worker at a time:
+record) lives on exactly one worker at a time:
 
 * **quote/feedback dispatch** travels over ``multiprocessing`` pipes, batched
   per shard (one message per touched shard per call, never one per request);
@@ -16,9 +16,9 @@ file) lives on exactly one worker at a time:
   worker count changes underneath them; ids handed out for quotes *parked*
   during a migration use the reserved :data:`PARKED_SLOT` lane and are
   aliased to the real id once replayed on the target shard;
-* **per-shard snapshot dirs** (``<snapshot_dir>/shard-<i>``) keep the
-  checkpoint files of different workers disjoint while staying ordinary
-  pricer checkpoints — a session rehydrates bit-identically on restart;
+* **per-shard snapshot dirs** (``<snapshot_dir>/shard-<i>``) give every
+  worker its own segment log — a session rehydrates bit-identically on
+  restart;
 * **failure accounting crosses the process boundary**: a worker-side drain
   failure arrives as the same structured :class:`~repro.exceptions.
   ServingError` (lost / requeued quote ids, translated to global ids) the
@@ -31,15 +31,16 @@ session between shards *under traffic*: new admissions for the moving key
 are parked (their ids issued immediately, so frontend waiter maps stay
 correct), the source shard drains the session's queued quotes, the router
 waits for its in-flight feedback to settle (per-session quiesce — every
-other session keeps serving), the checkpoint file is copied byte-exactly to
-the target shard's directory, the session is re-attached (pinned) on the
-target, the routing table gains an override, and the parked quotes are
-replayed in order.  :mod:`repro.serving.rebalance` drives whole N→M
-migrations over this primitive.  Because each session is pinned to one
-worker at a time and the per-session protocol (quote → feedback → next
-quote) is preserved by per-shard FIFO pipes and ordered parked replay, a
-closed-loop replay through a migration is **bit-identical** to the
-in-process service and to the offline engine (pinned by
+other session keeps serving), the source exports its segment record, the
+router relays record and bytes over the pipes to the target, which appends
+them verbatim to its own log and reads them back, the routing table gains
+an override, the session is re-attached (pinned) on the target, and the
+parked quotes are replayed in order.  :mod:`repro.serving.rebalance` drives
+whole N→M migrations over this primitive.  Because each session is pinned
+to one worker at a time and the per-session protocol (quote → feedback →
+next quote) is preserved by per-shard FIFO pipes and ordered parked
+replay, a closed-loop replay through a migration is **bit-identical** to
+the in-process service and to the offline engine (pinned by
 ``tests/serving/``).
 
 The default start method is ``fork`` (factories may close over live models
@@ -59,11 +60,9 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import multiprocessing
 
-from repro.engine.checkpoint import _atomic_write
 from repro.exceptions import RebalanceError, ServingError
-from repro.serving.store import PricerRegistry
 from repro.serving.requests import FeedbackEvent, QuoteRequest, QuoteResponse, SessionKey
-from repro.serving.store import SNAPSHOT_FORMATS, list_segment_sessions
+from repro.serving.store import PricerRegistry, list_segment_sessions
 from repro.serving.service import MicroBatchConfig, QuoteService
 from repro.utils.metrics import LatencySummary
 
@@ -153,7 +152,6 @@ def _shard_worker_main(
     max_sessions,
     persist_every,
     first_quote_id: int = 0,
-    snapshot_format: str = "legacy",
 ) -> None:
     """One shard's request loop: a registry + service behind a pipe.
 
@@ -169,7 +167,6 @@ def _shard_worker_main(
         snapshot_dir=snapshot_dir,
         max_sessions=max_sessions,
         persist_every=persist_every,
-        snapshot_format=snapshot_format,
     )
     service = QuoteService(registry, config=config, first_quote_id=first_quote_id)
     while True:
@@ -203,20 +200,14 @@ def _shard_worker_main(
                     "pinned": session.pinned if session is not None else False,
                 }
             elif op == "export_session":
-                session = registry.peek(payload)
-                if session is not None:
-                    result = {
-                        "resident": True,
-                        "path": registry.export_session(payload),
-                    }
-                else:
-                    # Cold session: materialise a legacy file from a segment
-                    # record if that is where the state lives (tombstoning
-                    # it), or hand back the existing legacy file.
-                    result = {
-                        "resident": False,
-                        "path": registry.materialize_legacy(payload),
-                    }
+                resident = registry.peek(payload) is not None
+                moved = registry.export_session(payload)
+                result = None
+                if moved is not None:
+                    result = {"resident": resident, "record": moved[0], "payload": moved[1]}
+            elif op == "import_session":
+                registry.import_session(payload["record"], payload["payload"])
+                result = True
             elif op == "attach_session":
                 key = payload["key"]
                 session = registry.session(key)
@@ -374,7 +365,8 @@ class ShardedRegistry:
     snapshot_dir:
         Parent directory of the per-shard snapshot dirs
         (``shard-00``, ``shard-01``, ...); ``None`` disables persistence
-        (and online rebalancing, which moves state through snapshots).
+        (and online rebalancing, which moves sessions between the shards'
+        segment logs).
     max_sessions / persist_every:
         Per-shard registry knobs (capacity is per worker).
     start_method:
@@ -391,13 +383,7 @@ class ShardedRegistry:
         max_sessions: Optional[int] = None,
         persist_every: int = 0,
         start_method: Optional[str] = None,
-        snapshot_format: str = "legacy",
     ) -> None:
-        if snapshot_format not in SNAPSHOT_FORMATS:
-            raise ValueError(
-                "snapshot_format must be one of %r, got %r"
-                % (SNAPSHOT_FORMATS, snapshot_format)
-            )
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1, got %d" % num_shards)
         if num_shards > MAX_SHARDS:
@@ -413,7 +399,6 @@ class ShardedRegistry:
         self._snapshot_root = snapshot_dir
         self._max_sessions = max_sessions
         self._persist_every = persist_every
-        self._snapshot_format = snapshot_format
         self.num_shards = num_shards
         self._closed = False
         self._lock = threading.RLock()
@@ -463,7 +448,6 @@ class ShardedRegistry:
                 self._max_sessions,
                 self._persist_every,
                 first_quote_id,
-                self._snapshot_format,
             ),
             daemon=True,
         )
@@ -899,7 +883,6 @@ class ShardedRegistry:
         target_shard: int,
         quiesce_timeout: float = 30.0,
         poll_interval: float = 0.002,
-        verify: bool = True,
     ) -> dict:
         """Migrate one session to ``target_shard`` while traffic continues.
 
@@ -914,15 +897,16 @@ class ShardedRegistry:
            waits for the session's in-flight feedback to settle (bounded by
            ``quiesce_timeout``; the router lock is released between probes,
            so feedback traffic can drain the session);
-        3. **export** — the quiesced session is persisted and dropped on
-           the source worker; its snapshot file is copied byte-exactly
-           (re-read and compared when ``verify``) into the target shard's
-           directory and removed from the source's;
+        3. **export** — the source worker hands the quiesced session over as
+           its segment record plus raw bytes and tombstones it; the target
+           appends the bytes verbatim to its own log and reads them back
+           byte for byte (if the target refuses them, the source takes them
+           back);
         4. **re-home** — the routing table gains an override for the key,
-           the target worker re-attaches (hydrates) the session pinned, and
-           the parked admissions are replayed in order — their parked ids
-           are aliased to the real target-shard ids, so earlier-issued ids
-           stay valid for feedback;
+           the target worker re-attaches (hydrates) a session that was
+           resident, pinned, and the parked admissions are replayed in
+           order — their parked ids are aliased to the real target-shard
+           ids, so earlier-issued ids stay valid for feedback;
         5. **resume** — the session is unpinned and waiters are notified.
 
         On failure the move is rolled back: parked quotes are re-dispatched
@@ -937,7 +921,7 @@ class ShardedRegistry:
             if self._snapshot_root is None:
                 raise RebalanceError(
                     "online rebalance requires a snapshot_dir (session state "
-                    "moves through checkpoint files)",
+                    "moves between the shards' segment logs)",
                     key=key,
                 )
             if not 0 <= target_shard < len(self._shards):
@@ -975,23 +959,20 @@ class ShardedRegistry:
         try:
             quiesce_seconds = self._quiesce(entry, source_handle, quiesce_timeout, poll_interval)
             with self._lock:
-                export = self._roundtrip(source_handle, "export_session", key)
-                file_moved = False
-                if export["path"] is not None and os.path.exists(export["path"]):
-                    self._move_snapshot(key, export["path"], target_handle, verify)
-                    file_moved = True
+                moved = self._roundtrip(source_handle, "export_session", key)
+                if moved is not None:
+                    try:
+                        self._roundtrip(target_handle, "import_session", moved)
+                    except BaseException:
+                        # The record left the source's log on export.
+                        self._roundtrip(source_handle, "import_session", moved)
+                        raise
+                self._routing.set_override(key, target_shard)
                 attach = None
-                if export["resident"]:
-                    if not file_moved:
-                        raise RebalanceError(
-                            "session %s was resident on shard %d but exported no "
-                            "snapshot file" % (key, source),
-                            key=key,
-                        )
+                if moved is not None and moved["resident"]:
                     attach = self._roundtrip(
                         target_handle, "attach_session", {"key": key, "pin": True}
                     )
-                self._routing.set_override(key, target_shard)
                 replayed = len(entry.parked)
                 if entry.parked:
                     try:
@@ -1012,16 +993,16 @@ class ShardedRegistry:
                         ) from exc
                 self._finish_move(key, target_handle, pinned=bool(attach))
                 self.rebalance_stats.sessions_moved += 1
-                if file_moved:
+                if moved is not None:
                     self.rebalance_stats.files_moved += 1
                 self.rebalance_stats.quiesce_seconds.append(quiesce_seconds)
                 return {
                     "moved": True,
                     "source": source,
                     "target": target_shard,
-                    "resident": export["resident"],
+                    "resident": moved is not None and moved["resident"],
                     "hydrated": bool(attach and attach["hydrated"]),
-                    "file_moved": file_moved,
+                    "file_moved": moved is not None,
                     "parked_replayed": replayed,
                     "quiesce_seconds": quiesce_seconds,
                 }
@@ -1082,31 +1063,6 @@ class ShardedRegistry:
                     key=entry.key,
                 )
             time.sleep(poll_interval)
-
-    def _move_snapshot(
-        self, key: SessionKey, source_path: str, target_handle: _ShardHandle, verify: bool
-    ) -> None:
-        """Copy one session checkpoint to the target shard's directory."""
-        if target_handle.snapshot_dir is None:
-            raise RebalanceError(
-                "target shard %d has no snapshot directory" % target_handle.index,
-                key=key,
-            )
-        with open(source_path, "rb") as handle:
-            data = handle.read()
-        target_path = os.path.join(
-            target_handle.snapshot_dir, os.path.basename(source_path)
-        )
-        _atomic_write(target_path, data)
-        if verify:
-            with open(target_path, "rb") as handle:
-                if handle.read() != data:
-                    raise RebalanceError(
-                        "snapshot of session %s did not copy byte-identically "
-                        "to shard %d" % (key, target_handle.index),
-                        key=key,
-                    )
-        os.unlink(source_path)
 
     def _replay_parked(
         self, parked: List[Tuple[int, QuoteRequest]], handle: _ShardHandle
@@ -1198,7 +1154,7 @@ class ShardedRegistry:
         """Retire the highest-index worker; returns the new shard count.
 
         Refuses while anything still depends on the shard: in-flight
-        quotes, resident sessions, snapshot files, routing overrides, or an
+        quotes, resident sessions, segment records, routing overrides, or an
         active migration.  (After a full scale-in migration all of these
         are gone by construction.)
         """
@@ -1229,19 +1185,8 @@ class ShardedRegistry:
                         "shard %d still has %d resident session(s)"
                         % (handle.index, info["sessions_resident"])
                     )
-            if handle.snapshot_dir is not None and os.path.isdir(handle.snapshot_dir):
-                stranded = [
-                    name
-                    for name in os.listdir(handle.snapshot_dir)
-                    if name.endswith(".session.npz")
-                ]
-                if stranded:
-                    raise RebalanceError(
-                        "shard %d still holds %d snapshot file(s)"
-                        % (handle.index, len(stranded))
-                    )
-                # Segment-resident sessions are just as stranded as legacy
-                # files — they live in this shard's segments/ directory.
+            if handle.snapshot_dir is not None:
+                # A cold session lives only in this shard's segment log.
                 segment_resident = list_segment_sessions(handle.snapshot_dir)
                 if segment_resident:
                     raise RebalanceError(

@@ -1,4 +1,4 @@
-"""Session registry: live pricers, clock-hand eviction, mmap snapshot segments.
+"""Session registry: live pricers, clock-hand eviction, one segment log.
 
 :class:`PricerRegistry` owns every resident pricing session.  The live pricer
 is the only in-memory copy of a session's state; the registry adds two
@@ -12,29 +12,29 @@ storage pieces around it:
   a reference bit set by an access or inspects a slot at most twice per
   sweep), where an ``OrderedDict`` scan is O(resident) per eviction whenever
   cold exempt sessions pile up at the LRU end;
-* **mmap snapshot segments** — with ``snapshot_format="segment"``, persisted
-  sessions append their raw state bytes to shared segment files
-  (``segments/*.seg``, many sessions per file) with a JSONL index sidecar
-  mapping session slug → segment/offset/layout.  Hydration then memory-maps
-  the segment and slices the state arrays straight out of the page cache —
-  no per-session file open, no zlib decompress, no ``.npz`` parse — which is
-  what keeps cold-session storms off the filesystem's back.  The index is an
-  append-only journal (last entry per slug wins, tombstones mark exports, a
-  torn tail line is ignored), so a crash mid-append never corrupts earlier
-  records.
+* **the segment log** — persisted sessions append their raw state bytes to
+  shared segment files (``segments/seg-NNNNNN.seg``, many sessions per file)
+  with a JSONL index journal (``segments/index.jsonl``) mapping session slug
+  → file/offset/layout.  Hydration memory-maps the segment and slices the
+  state arrays straight out of the page cache — no per-session file open,
+  no zlib decompress, no ``.npz`` parse.  The index is append-only (last
+  entry per slug wins, tombstones mark exports) and a line counts once its
+  newline is written: the writer cuts a torn tail a crash mid-append left
+  when it opens the log.  Once dead entries outweigh live ones the log
+  compacts into fresh files under a fresh index, so its disk, index lines
+  and mappings stay within a constant factor of the live state however long
+  the service runs.
 
-The legacy file-per-session ``.session.npz`` format stays fully readable —
-and is still the default — because the offline resharder and the live
-rebalancer's export path move sessions as individual checkpoint files.  A
-segment-format registry hydrates from legacy files it finds (migration), and
-:meth:`PricerRegistry.export_session` always writes a legacy file (and
-tombstones the segment record) so re-homing stays byte-exact either way.
+The log is the only snapshot format.  A session moves between logs — shards
+of a live fleet, or snapshot trees of the offline resharder — as one
+:class:`SegmentRecord` plus its raw bytes, appended verbatim to the target's
+log.  ``*.session.npz`` files an earlier version wrote are moved into the log
+when a registry opens their directory.
 
-Both formats round-trip ``state_dict`` bit-identically: persisting flattens
-the pricer's ``state_dict`` (:func:`repro.engine.checkpoint.flatten_state`)
-straight into the writer, arrays are stored as raw little-endian bytes
-(segments) or lossless npz entries (legacy), and the JSON skeleton uses
-Python's shortest-round-trip float repr.
+Persisting flattens the pricer's ``state_dict``
+(:func:`repro.engine.checkpoint.flatten_state`) straight into a record:
+arrays are stored as raw little-endian bytes and the JSON skeleton uses
+Python's shortest-round-trip float repr, so the round trip is bit-identical.
 """
 
 from __future__ import annotations
@@ -45,11 +45,12 @@ import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.engine import checkpoint as checkpoint_store
+from repro.engine.checkpoint import _atomic_write
 from repro.exceptions import ServingError
 from repro.serving.requests import SessionKey
 
@@ -58,23 +59,25 @@ __all__ = [
     "SEGMENT_DIR",
     "SEGMENT_SUFFIX",
     "SEGMENT_INDEX",
-    "SNAPSHOT_FORMATS",
     "DEFAULT_SEGMENT_BYTES",
+    "COMPACT_LINES",
     "PricingSession",
     "RegistryStats",
     "SegmentRecord",
     "SegmentLog",
     "SessionFactory",
     "PricerRegistry",
+    "encode_record",
     "list_segment_sessions",
+    "read_segment_payload",
     "read_segment_record",
-    "export_segments_to_legacy",
 ]
 
 #: A factory builds (model, fresh same-config pricer) for one session key.
 SessionFactory = Callable[[SessionKey], Tuple[Any, Any]]
 
-#: Suffix of legacy per-session snapshot files.
+#: Suffix of the per-session snapshot files earlier versions wrote; a
+#: registry moves them into its segment log when it opens their directory.
 SESSION_SUFFIX = ".session.npz"
 
 #: Subdirectory of a snapshot dir holding segment files and their index.
@@ -86,11 +89,13 @@ SEGMENT_SUFFIX = ".seg"
 #: File name of the JSONL index journal inside :data:`SEGMENT_DIR`.
 SEGMENT_INDEX = "index.jsonl"
 
-#: Supported on-disk snapshot formats.
-SNAPSHOT_FORMATS = ("legacy", "segment")
-
 #: Rotate to a fresh segment file once the active one exceeds this.
 DEFAULT_SEGMENT_BYTES = 8 * 1024 * 1024
+
+#: The log compacts once its index holds more than ``2 * live records +
+#: COMPACT_LINES`` lines, or its segment files more than ``2 * live bytes +
+#: one segment``: dead entries then outweigh live ones.
+COMPACT_LINES = 1024
 
 #: Record/array alignment inside segment files (cache-line / SIMD friendly,
 #: and keeps every float64 column slice naturally aligned for mmap views).
@@ -135,26 +140,27 @@ class RegistryStats:
     ``created + hydrations`` (:attr:`opened`) is the number of times a
     session entered residency for the first time since its last eviction.
 
-    The remaining fields split hydrations by source
-    (``zero_copy_hydrations`` from mmap segments vs ``legacy_hydrations``
-    from per-session ``.npz`` files), count clock-hand work
-    (``clock_hand_steps`` / ``clock_rotations``), and gauge the footprint
-    (``resident_bytes`` of the resident pricers' state arrays, ``segments``
-    / ``segment_bytes`` on disk) — the gauges are measured when
-    :attr:`PricerRegistry.stats` is read.  Every value is a plain summable
-    number so :meth:`ShardedRegistry.stats` can aggregate shards by key.
+    Every hydration slices an mmap of the segment log, so
+    ``zero_copy_hydrations`` equals ``hydrations``; ``legacy_hydrations``
+    stays in the counters for readers of earlier reports and reads 0.  The
+    other fields count clock-hand work (``clock_hand_steps`` /
+    ``clock_rotations``) and gauge the footprint (``resident_bytes`` of the
+    resident pricers' state arrays, ``segments`` / ``segment_bytes`` on
+    disk) — the gauges are measured when :attr:`PricerRegistry.stats` is
+    read.  Every value is a plain summable number so
+    :meth:`ShardedRegistry.stats` can aggregate shards by key.
     """
 
     created: int = 0
     hydrations: int = 0
     evictions: int = 0
     persists: int = 0
-    #: Sessions handed off to another shard (persist + drop, no eviction):
+    #: Resident sessions handed off to another shard (drop, no eviction):
     #: the online rebalancer's exit path.  Disjoint from ``evictions``.
     exports: int = 0
     #: Hydrations served as an mmap slice out of a snapshot segment.
     zero_copy_hydrations: int = 0
-    #: Hydrations that parsed a legacy ``.session.npz`` file.
+    #: Always 0: no snapshot format besides the segment log is read.
     legacy_hydrations: int = 0
     #: Individual clock-hand advances during victim selection.
     clock_hand_steps: int = 0
@@ -195,9 +201,12 @@ class RegistryStats:
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class SegmentRecord:
-    """One persisted session inside a segment file (one index-journal line)."""
+class SegmentRecord(NamedTuple):
+    """One persisted session inside a segment file (one index-journal line).
+
+    A record that is not placed in a log yet (:func:`encode_record`) has
+    ``file_id`` and ``offset`` of -1.
+    """
 
     slug: str
     app: str
@@ -256,39 +265,90 @@ class SegmentRecord:
         )
 
 
-def _parse_index(index_path: str) -> Dict[str, SegmentRecord]:
-    """Replay an index journal: last entry per slug wins, tombstones delete.
+def encode_record(
+    key: SessionKey,
+    pricer_type: str,
+    rounds_done: int,
+    skeleton: Any,
+    arrays: Sequence[np.ndarray],
+    meta: Optional[dict] = None,
+) -> Tuple[SegmentRecord, bytes]:
+    """One session's flattened state as an unplaced record plus its bytes.
 
-    A torn tail line (crash mid-append) is ignored; any other malformed line
-    is an error — the journal is append-only, so corruption in the middle
-    means the file was damaged, not half-written.
+    Array leaves are laid out back to back at :data:`_ALIGN`-byte offsets;
+    :meth:`SegmentLog.append` places the bytes in a log.
+    """
+    layout: List[Tuple[str, Tuple[int, ...], int]] = []
+    cursor = 0
+    chunks: List[bytes] = []
+    for array in arrays:
+        array = np.ascontiguousarray(array)
+        aligned = _align(cursor)
+        if aligned > cursor:
+            chunks.append(b"\0" * (aligned - cursor))
+            cursor = aligned
+        data = array.tobytes()
+        layout.append((array.dtype.str, tuple(array.shape), cursor))
+        chunks.append(data)
+        cursor += len(data)
+    payload = b"".join(chunks)
+    record = SegmentRecord(
+        slug=key.slug(),
+        app=key.app,
+        segment=key.segment,
+        file_id=-1,
+        offset=-1,
+        length=len(payload),
+        pricer_type=pricer_type,
+        rounds_done=int(rounds_done),
+        skeleton=skeleton,
+        arrays=tuple(layout),
+        meta=dict(meta or {}),
+    )
+    return record, payload
+
+
+def _segment_name(file_id: int) -> str:
+    return "seg-%06d%s" % (file_id, SEGMENT_SUFFIX)
+
+
+def _read_index(index_path: str) -> Tuple[Dict[str, SegmentRecord], int, int, int]:
+    """Replay an index journal: ``(records, lines, committed bytes, file bytes)``.
+
+    The last entry per slug wins and tombstones delete.  A line is committed
+    by its newline: bytes after the last newline, or a final line that does
+    not parse, are the torn tail of a crash mid-append and fall outside the
+    committed length.  Any other malformed line is an error — the journal
+    is append-only, so corruption in the middle means the file was damaged,
+    not half-written.
     """
     records: Dict[str, SegmentRecord] = {}
-    if not os.path.exists(index_path):
-        return records
-    with open(index_path, "r", encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
+    try:
+        with open(index_path, "rb") as handle:
+            data = handle.read()
+    except FileNotFoundError:
+        return records, 0, 0, 0
+    lines = data[: data.rfind(b"\n") + 1].split(b"\n")[:-1]
+    count = committed = 0
     for number, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:
-            if number == len(lines) - 1 or not any(
-                later.strip() for later in lines[number + 1 :]
-            ):
-                break  # torn tail from a crash mid-append
-            raise ServingError(
-                "corrupt segment index %s at line %d: %s"
-                % (index_path, number + 1, exc)
-            ) from exc
-        if obj.get("tombstone"):
-            records.pop(str(obj["slug"]), None)
-        else:
-            record = SegmentRecord.from_json(obj)
-            records[record.slug] = record
-    return records
+        if line.strip():
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                if not any(later.strip() for later in lines[number + 1 :]):
+                    break
+                raise ServingError(
+                    "corrupt segment index %s at line %d: %s"
+                    % (index_path, number + 1, exc)
+                ) from exc
+            count += 1
+            if obj.get("tombstone"):
+                records.pop(str(obj["slug"]), None)
+            else:
+                record = SegmentRecord.from_json(obj)
+                records[record.slug] = record
+        committed += len(line) + 1
+    return records, count, committed, len(data)
 
 
 class SegmentLog:
@@ -296,9 +356,9 @@ class SegmentLog:
 
     Data-before-index ordering makes the journal crash-consistent: record
     bytes are written and flushed to the segment file *before* the index
-    line referencing them is appended, so every replayable index entry
-    points at fully written data and a crash between the two just orphans a
-    few bytes at the segment tail.
+    line referencing them is appended, so every committed index entry points
+    at fully written data and a crash between the two just orphans a few
+    bytes at the segment tail.  :meth:`compact` keeps the same order.
     """
 
     def __init__(
@@ -309,24 +369,29 @@ class SegmentLog:
                 "max_segment_bytes must be at least %d, got %d"
                 % (_ALIGN, max_segment_bytes)
             )
+        self.snapshot_dir = snapshot_dir
         self.directory = os.path.join(snapshot_dir, SEGMENT_DIR)
         os.makedirs(self.directory, exist_ok=True)
         self._max_bytes = int(max_segment_bytes)
         self._index_path = os.path.join(self.directory, SEGMENT_INDEX)
-        self._records = _parse_index(self._index_path)
+        self._records, self._lines, committed, size = _read_index(self._index_path)
+        if size > committed:
+            # Cut the torn tail, or the next line would be written onto it.
+            with open(self._index_path, "r+b") as handle:
+                handle.truncate(committed)
+        self._live_bytes = sum(_align(r.length) for r in self._records.values())
         self._maps: Dict[int, np.memmap] = {}
-        existing = self._segment_ids()
-        self._active_id = existing[-1] if existing else 0
-        self._active_size = (
-            os.path.getsize(self._segment_path(self._active_id)) if existing else 0
-        )
+        sizes = {i: os.path.getsize(self._segment_path(i)) for i in self._segment_ids()}
+        self._data_bytes = sum(sizes.values())
+        self._active_id = max(sizes, default=0)
+        self._active_size = sizes.get(self._active_id, 0)
         self._handle = None
         self._index_handle = None
 
     # -- paths / enumeration ------------------------------------------- #
 
     def _segment_path(self, file_id: int) -> str:
-        return os.path.join(self.directory, "seg-%06d%s" % (file_id, SEGMENT_SUFFIX))
+        return os.path.join(self.directory, _segment_name(file_id))
 
     def _segment_ids(self) -> List[int]:
         ids = []
@@ -348,51 +413,49 @@ class SegmentLog:
     def lookup(self, slug: str) -> Optional[SegmentRecord]:
         return self._records.get(slug)
 
-    def records(self) -> Dict[str, SegmentRecord]:
-        return dict(self._records)
-
     def _append_index_line(self, line: str) -> None:
         if self._index_handle is None:
             self._index_handle = open(self._index_path, "a", encoding="utf-8")
         self._index_handle.write(line + "\n")
         self._index_handle.flush()
+        self._lines += 1
 
     def tombstone(self, slug: str) -> bool:
         """Mark ``slug`` deleted; returns whether a live record existed."""
-        if slug not in self._records:
+        record = self._records.get(slug)
+        if record is None:
             return False
-        del self._records[slug]
         self._append_index_line(
             json.dumps({"slug": slug, "tombstone": True}, separators=(",", ":"))
         )
+        del self._records[slug]
+        self._live_bytes -= _align(record.length)
+        self._compact_if_due()
         return True
 
     # -- write path ---------------------------------------------------- #
 
-    def append(
-        self,
-        key: SessionKey,
-        pricer_type: str,
-        rounds_done: int,
-        skeleton: Any,
-        arrays: Sequence[np.ndarray],
-        meta: Optional[dict] = None,
-    ) -> SegmentRecord:
-        """Append one session's state; returns (and indexes) its record."""
-        layout: List[Tuple[str, Tuple[int, ...], int]] = []
-        cursor = 0
-        chunks: List[bytes] = []
-        for array in arrays:
-            array = np.ascontiguousarray(array)
-            aligned = _align(cursor)
-            if aligned > cursor:
-                chunks.append(b"\0" * (aligned - cursor))
-                cursor = aligned
-            data = array.tobytes()
-            layout.append((array.dtype.str, tuple(array.shape), cursor))
-            chunks.append(data)
-            cursor += len(data)
-        payload = b"".join(chunks)
+    def append(self, record: SegmentRecord, payload: bytes) -> SegmentRecord:
+        """Append ``payload`` verbatim as ``record``'s bytes and index it.
+
+        Only the record's file and offset change.  Returns the record where
+        its bytes sit when the call returns (a compaction the append
+        triggers moves them).
+        """
+        file_id, offset = self._write(payload)
+        self._handle.flush()
+        placed = record._replace(file_id=file_id, offset=offset)
+        self._append_index_line(placed.to_json_line())
+        previous = self._records.get(placed.slug)
+        if previous is not None:
+            self._live_bytes -= _align(previous.length)
+        self._records[placed.slug] = placed
+        self._live_bytes += _align(placed.length)
+        self._compact_if_due()
+        return self._records[placed.slug]
+
+    def _write(self, payload: bytes) -> Tuple[int, int]:
+        """Write ``payload`` at the active file's next aligned offset."""
         if self._active_size and self._active_size + len(payload) > self._max_bytes:
             self._roll()
         if self._handle is None:
@@ -402,24 +465,9 @@ class SegmentLog:
         if start > self._active_size:
             self._handle.write(b"\0" * (start - self._active_size))
         self._handle.write(payload)
-        self._handle.flush()
+        self._data_bytes += start + len(payload) - self._active_size
         self._active_size = start + len(payload)
-        record = SegmentRecord(
-            slug=key.slug(),
-            app=key.app,
-            segment=key.segment,
-            file_id=self._active_id,
-            offset=start,
-            length=len(payload),
-            pricer_type=pricer_type,
-            rounds_done=int(rounds_done),
-            skeleton=skeleton,
-            arrays=tuple(layout),
-            meta=dict(meta or {}),
-        )
-        self._append_index_line(record.to_json_line())
-        self._records[record.slug] = record
-        return record
+        return self._active_id, start
 
     def _roll(self) -> None:
         if self._handle is not None:
@@ -428,6 +476,57 @@ class SegmentLog:
         self._maps.pop(self._active_id, None)
         self._active_id += 1
         self._active_size = 0
+
+    def _compact_if_due(self) -> None:
+        if (
+            self._lines > 2 * len(self._records) + COMPACT_LINES
+            or self._data_bytes > 2 * self._live_bytes + self._max_bytes
+        ):
+            self.compact()
+
+    def compact(self) -> None:
+        """Copy the live records into fresh files under a fresh index.
+
+        Each old file is read once, with a file read, so compaction maps no
+        pages.  The fresh files and index are written in full before
+        ``os.replace`` makes the index current, and the old files are
+        deleted after it.  A crash before the rename leaves the old index
+        and its files intact; one after it leaves old files that no index
+        line names.  The next compaction deletes such files: it deletes
+        every file on disk when it starts.
+        """
+        old_ids = self._segment_ids()
+        self._roll()
+        placed: Dict[str, SegmentRecord] = {}
+        data, data_id = b"", None
+        for record in sorted(self._records.values(), key=lambda r: (r.file_id, r.offset)):
+            if record.length and record.file_id != data_id:
+                with open(self._segment_path(record.file_id), "rb") as handle:
+                    data, data_id = handle.read(), record.file_id
+            payload = data[record.offset : record.offset + record.length]
+            if len(payload) != record.length:
+                raise ServingError(
+                    "segment %d is shorter than its record of %s claims"
+                    % (record.file_id, record.slug)
+                )
+            file_id, offset = self._write(payload)
+            placed[record.slug] = record._replace(file_id=file_id, offset=offset)
+        if self._handle is not None:
+            self._handle.flush()
+        if self._index_handle is not None:
+            self._index_handle.close()
+            self._index_handle = None
+        _atomic_write(
+            self._index_path,
+            "".join(r.to_json_line() + "\n" for r in placed.values()).encode("utf-8"),
+        )
+        self._records = placed
+        self._lines = len(placed)
+        for file_id in old_ids:
+            self._maps.pop(file_id, None)
+            path = self._segment_path(file_id)
+            self._data_bytes -= os.path.getsize(path)
+            os.unlink(path)
 
     # -- read path ----------------------------------------------------- #
 
@@ -485,18 +584,15 @@ def list_segment_sessions(snapshot_dir: str) -> Dict[SessionKey, SegmentRecord]:
     and the shard-retirement check use this from the router process to see
     sessions that exist only inside another process's segment files.
     """
-    index_path = os.path.join(snapshot_dir, SEGMENT_DIR, SEGMENT_INDEX)
-    records = _parse_index(index_path)
+    records = _read_index(os.path.join(snapshot_dir, SEGMENT_DIR, SEGMENT_INDEX))[0]
     return {record.key(): record for record in records.values()}
 
 
-def read_segment_record(
-    snapshot_dir: str, record: SegmentRecord
-) -> checkpoint_store.PricerCheckpoint:
-    """Materialise one segment record as an in-memory checkpoint (copies)."""
-    path = os.path.join(
-        snapshot_dir, SEGMENT_DIR, "seg-%06d%s" % (record.file_id, SEGMENT_SUFFIX)
-    )
+def read_segment_payload(snapshot_dir: str, record: SegmentRecord) -> bytes:
+    """One record's raw bytes, read from its segment file (no mmap)."""
+    if not record.length:
+        return b""
+    path = os.path.join(snapshot_dir, SEGMENT_DIR, _segment_name(record.file_id))
     with open(path, "rb") as handle:
         handle.seek(record.offset)
         payload = handle.read(record.length)
@@ -505,15 +601,20 @@ def read_segment_record(
             "segment record for %s is truncated (%d of %d bytes)"
             % (record.slug, len(payload), record.length)
         )
-    arrays = []
-    for dtype_str, shape, rel in record.arrays:
-        dtype = np.dtype(dtype_str)
-        count = math.prod(shape)
-        arrays.append(
-            np.frombuffer(payload, dtype=dtype, count=count, offset=rel)
-            .reshape(shape)
-            .copy()
-        )
+    return payload
+
+
+def read_segment_record(
+    snapshot_dir: str, record: SegmentRecord
+) -> checkpoint_store.PricerCheckpoint:
+    """Materialise one segment record as an in-memory checkpoint (copies)."""
+    payload = read_segment_payload(snapshot_dir, record)
+    arrays = [
+        np.frombuffer(payload, dtype=np.dtype(dtype_str), count=math.prod(shape), offset=rel)
+        .reshape(shape)
+        .copy()
+        for dtype_str, shape, rel in record.arrays
+    ]
     return checkpoint_store.PricerCheckpoint(
         pricer_type=record.pricer_type,
         rounds_done=record.rounds_done,
@@ -522,34 +623,29 @@ def read_segment_record(
     )
 
 
-def export_segments_to_legacy(snapshot_dir: str) -> int:
-    """Rewrite every live segment record as a legacy ``.session.npz`` file.
+def _adopt_session_files(log: SegmentLog) -> None:
+    """Move the ``*.session.npz`` files of earlier versions into ``log``.
 
-    The bridge from segment-format snapshot dirs to tools that only speak
-    the file-per-session layout (the offline resharder): each record becomes
-    an ordinary checkpoint file next to the ``segments/`` directory and is
-    tombstoned from the index.  Returns the number of files written.
+    Each file becomes a segment record and is then deleted.  A record the
+    log already holds for the session is newer and wins.
     """
-    sessions = list_segment_sessions(snapshot_dir)
-    if not sessions:
-        return 0
-    log = SegmentLog(snapshot_dir)
-    written = 0
-    try:
-        for key, record in sorted(sessions.items(), key=lambda item: item[1].slug):
-            checkpoint = read_segment_record(snapshot_dir, record)
-            checkpoint_store.save_state_checkpoint(
-                os.path.join(snapshot_dir, "%s%s" % (key.slug(), SESSION_SUFFIX)),
-                checkpoint.pricer_type,
-                checkpoint.rounds_done,
-                checkpoint.state,
-                meta=checkpoint.meta,
+    for name in sorted(os.listdir(log.snapshot_dir)):
+        if not name.endswith(SESSION_SUFFIX):
+            continue
+        path = os.path.join(log.snapshot_dir, name)
+        checkpoint = checkpoint_store.load_checkpoint(path)
+        meta = checkpoint.meta
+        if "app" not in meta or "segment" not in meta:
+            raise ServingError("%s names no session in its meta" % path)
+        key = SessionKey(str(meta["app"]), str(meta["segment"]))
+        if log.lookup(key.slug()) is None:
+            skeleton, arrays = checkpoint_store.flatten_state(checkpoint.state)
+            log.append(
+                *encode_record(
+                    key, checkpoint.pricer_type, checkpoint.rounds_done, skeleton, arrays, meta
+                )
             )
-            log.tombstone(record.slug)
-            written += 1
-    finally:
-        log.close()
-    return written
+        os.unlink(path)
 
 
 # --------------------------------------------------------------------------- #
@@ -583,12 +679,12 @@ class PricerRegistry:
     The registry owns every resident session and gives the serving layer
     three lifecycle guarantees:
 
-    * **hydration** — a session whose snapshot exists under ``snapshot_dir``
-      is rebuilt from it: the factory constructs a fresh, same-configuration
-      pricer and the checkpoint subsystem (:mod:`repro.engine.checkpoint`)
-      restores its exact state, so a restarted service continues pricing
-      bit-identically to an uninterrupted one (the same exact-resume
-      contract the offline chunked runner is pinned to);
+    * **hydration** — a session whose record sits in the segment log under
+      ``snapshot_dir`` is rebuilt from it: the factory constructs a fresh,
+      same-configuration pricer and its ``load_state`` restores the exact
+      state, so a restarted service continues pricing bit-identically to an
+      uninterrupted one (the same exact-resume contract the offline chunked
+      runner is pinned to);
     * **write-behind persistence** — with ``persist_every=N``, a session's
       state is snapshotted after every N-th feedback update (and always on
       eviction and :meth:`flush`), bounding the feedback loss of a crash to
@@ -607,19 +703,17 @@ class PricerRegistry:
         constructed with the session's configuration — hydration loads only
         the mutable state into it (the checkpoint contract).
     snapshot_dir:
-        Directory of session snapshots.  ``None`` disables persistence:
-        evicted sessions lose their state and hydration never happens.
+        Directory of the session snapshots' segment log.  ``None`` disables
+        persistence: evicted sessions lose their state and hydration never
+        happens.  Opening a directory moves the ``*.session.npz`` files an
+        earlier version wrote there into the log.
     max_sessions:
         Resident-session capacity; ``None`` means unbounded.
     persist_every:
         Write-behind cadence in feedback updates; ``0`` persists only on
         eviction / flush.
     snapshot_format:
-        ``"legacy"`` writes file-per-session ``.session.npz`` (the default,
-        and what the offline resharder consumes); ``"segment"`` appends to
-        shared mmap segment files.  Both formats are always *readable* —
-        hydration prefers a live segment record, then falls back to a
-        legacy file (the migration path).
+        Only ``"segment"`` is accepted: the segment log is the one format.
     segment_max_bytes:
         Rotation threshold for segment files.
     """
@@ -630,23 +724,20 @@ class PricerRegistry:
         snapshot_dir: Optional[str] = None,
         max_sessions: Optional[int] = None,
         persist_every: int = 0,
-        snapshot_format: str = "legacy",
+        snapshot_format: str = "segment",
         segment_max_bytes: int = DEFAULT_SEGMENT_BYTES,
     ) -> None:
         if max_sessions is not None and max_sessions < 1:
             raise ValueError("max_sessions must be at least 1, got %d" % max_sessions)
         if persist_every < 0:
             raise ValueError("persist_every must be non-negative, got %d" % persist_every)
-        if snapshot_format not in SNAPSHOT_FORMATS:
+        if snapshot_format != "segment":
             raise ValueError(
-                "snapshot_format must be one of %r, got %r"
-                % (SNAPSHOT_FORMATS, snapshot_format)
+                "snapshot_format must be 'segment', got %r" % (snapshot_format,)
             )
         self._factory = factory
-        self._snapshot_dir = snapshot_dir
         self._max_sessions = max_sessions
         self._persist_every = persist_every
-        self.snapshot_format = snapshot_format
         #: key → ring slot, insertion-ordered and moved-to-end on access so
         #: ``resident_keys`` still reports LRU → MRU (the clock hand decides
         #: *victims*; this map only preserves the observable recency order).
@@ -655,8 +746,9 @@ class PricerRegistry:
         self._ring_free: List[int] = []
         self._hand = 0
         self._segments: Optional[SegmentLog] = None
-        if snapshot_dir is not None and snapshot_format == "segment":
+        if snapshot_dir is not None:
             self._segments = SegmentLog(snapshot_dir, segment_max_bytes)
+            _adopt_session_files(self._segments)
         self._stats = RegistryStats()
         #: Wall-clock seconds of each hydration (bench introspection: the
         #: Zipf sweep reads storm percentiles from here).
@@ -696,7 +788,14 @@ class PricerRegistry:
         record = (
             self._segments.lookup(key.slug()) if self._segments is not None else None
         )
-        if record is not None and record.pricer_type == type(pricer).__name__:
+        if record is None:
+            stats.created += 1
+        else:
+            if record.pricer_type != type(pricer).__name__:
+                raise checkpoint_store.CheckpointError(
+                    "segment record of session %s was taken from %r, cannot "
+                    "restore into %r" % (key, record.pricer_type, type(pricer).__name__)
+                )
             started = time.perf_counter()
             views = self._segments.read_arrays(record)
             pricer.load_state(checkpoint_store.unflatten_state(record.skeleton, views))
@@ -704,19 +803,6 @@ class PricerRegistry:
             stats.hydrations += 1
             stats.zero_copy_hydrations += 1
             self.hydration_seconds.append(time.perf_counter() - started)
-        else:
-            path = self.snapshot_path(key)
-            if path is not None and os.path.exists(path):
-                started = time.perf_counter()
-                checkpoint_store.restore_pricer(
-                    pricer, checkpoint_store.load_checkpoint(path)
-                )
-                session.hydrated = True
-                stats.hydrations += 1
-                stats.legacy_hydrations += 1
-                self.hydration_seconds.append(time.perf_counter() - started)
-            else:
-                stats.created += 1
         self._admit(session)
         self._enforce_capacity(protect=key)
         return session
@@ -770,47 +856,23 @@ class PricerRegistry:
     # Persistence
     # ------------------------------------------------------------------ #
 
-    def snapshot_path(self, key: SessionKey) -> Optional[str]:
-        """The *legacy* snapshot file for ``key`` (``None`` = persistence off).
-
-        Segment-format registries still use this path for exports and
-        migration reads — it is the interchange location, not the write
-        target.
-        """
-        if self._snapshot_dir is None:
-            return None
-        return os.path.join(self._snapshot_dir, "%s%s" % (key.slug(), SESSION_SUFFIX))
+    def _encode(self, session: PricingSession) -> Tuple[SegmentRecord, bytes]:
+        key = session.key
+        skeleton, arrays = checkpoint_store.flatten_state(session.pricer.state_dict())
+        return encode_record(
+            key,
+            type(session.pricer).__name__,
+            session.rounds_seen,
+            skeleton,
+            arrays,
+            meta={"app": key.app, "segment": key.segment},
+        )
 
     def persist(self, session: PricingSession) -> bool:
         """Snapshot one session to disk; returns whether anything was written."""
-        if self._snapshot_dir is None:
+        if self._segments is None:
             return False
-        state = session.pricer.state_dict()
-        meta = {"app": session.key.app, "segment": session.key.segment}
-        path = self.snapshot_path(session.key)
-        if self._segments is not None:
-            skeleton, arrays = checkpoint_store.flatten_state(state)
-            self._segments.append(
-                session.key,
-                type(session.pricer).__name__,
-                session.rounds_seen,
-                skeleton,
-                arrays,
-                meta=meta,
-            )
-            # The segment record is now authoritative; a legacy file left
-            # over from migration (or a byte-exact re-home) is stale and
-            # would only confuse the stranded-snapshot checks.
-            if os.path.exists(path):
-                os.unlink(path)
-        else:
-            checkpoint_store.save_state_checkpoint(
-                path,
-                type(session.pricer).__name__,
-                session.rounds_seen,
-                state,
-                meta=meta,
-            )
+        self._segments.append(*self._encode(session))
         session.updates_since_persist = 0
         self._stats.persists += 1
         return True
@@ -831,77 +893,60 @@ class PricerRegistry:
                 written += 1
         return written
 
-    def export_session(self, key: SessionKey) -> str:
-        """Persist one quiesced session as a legacy file and drop it.
+    def export_session(self, key: SessionKey) -> Optional[Tuple[SegmentRecord, bytes]]:
+        """Hand one session over as ``(record, payload)`` and forget it here.
 
-        The shard-handoff exit of the online rebalancer: the state is
-        written to the session's *legacy* snapshot file regardless of the
-        registry's format (the router moves sessions as individual
-        checkpoint files), any segment record is tombstoned so the stale
-        copy can never shadow the handoff, and residency is released
-        without counting an eviction.
+        The exit of a session move: a resident session must be quiesced (no
+        in-flight quotes) and is encoded straight from its pricer; a cold
+        one is its log record, read back with a file read.  Either way the
+        record is tombstoned and residency released without counting an
+        eviction.  ``None`` means the registry holds nothing for ``key``.
         """
+        if self._segments is None:
+            raise ServingError(
+                "cannot export session %s without a snapshot_dir" % (key,)
+            )
         session = self.peek(key)
         if session is None:
-            raise ServingError("cannot export session %s: not resident" % (key,))
-        if session.pending:
+            record = self._segments.lookup(key.slug())
+            if record is None:
+                return None
+            moved = record, read_segment_payload(self._segments.snapshot_dir, record)
+        elif session.pending:
             raise ServingError(
                 "cannot export session %s with %d in-flight quote(s); quiesce "
                 "it first" % (key, len(session.pending))
             )
-        path = self.snapshot_path(key)
-        if path is None:
-            raise ServingError(
-                "cannot export session %s without a snapshot_dir" % (key,)
-            )
-        checkpoint_store.save_state_checkpoint(
-            path,
-            type(session.pricer).__name__,
-            session.rounds_seen,
-            session.pricer.state_dict(),
-            meta={"app": key.app, "segment": key.segment},
-        )
-        self._stats.persists += 1
-        if self._segments is not None:
-            self._segments.tombstone(key.slug())
-        self._drop(key)
-        self._stats.exports += 1
-        return path
+        else:
+            moved = self._encode(session)
+        self._segments.tombstone(key.slug())
+        if session is not None:
+            self._drop(key)
+            self._stats.exports += 1
+        return moved
 
-    def materialize_legacy(self, key: SessionKey) -> Optional[str]:
-        """Ensure a *cold* session exists as a legacy file; returns its path.
+    def import_session(self, record: SegmentRecord, payload: bytes) -> None:
+        """Take over a session another log exported; it hydrates on access.
 
-        Resolution order mirrors hydration: a live segment record is
-        rewritten as a ``.session.npz`` (and tombstoned); otherwise an
-        existing legacy file is returned as-is; ``None`` means the registry
-        holds nothing for ``key``.  The sharded router's export op uses
-        this to re-home sessions that were persisted to segments and then
-        evicted.
+        The bytes are appended verbatim (only the record's file and offset
+        change) and read back byte for byte before the import counts.
         """
-        path = self.snapshot_path(key)
-        if path is None:
-            return None
+        key = record.key()
+        if self._segments is None:
+            raise ServingError(
+                "cannot import session %s without a snapshot_dir" % (key,)
+            )
         if key in self._index:
             raise ServingError(
-                "session %s is resident; use export_session" % (key,)
+                "cannot import session %s over its resident copy" % (key,)
             )
-        record = (
-            self._segments.lookup(key.slug()) if self._segments is not None else None
-        )
-        if record is not None:
-            checkpoint = read_segment_record(self._snapshot_dir, record)
-            checkpoint_store.save_state_checkpoint(
-                path,
-                checkpoint.pricer_type,
-                checkpoint.rounds_done,
-                checkpoint.state,
-                meta=checkpoint.meta,
+        placed = self._segments.append(record, payload)
+        if read_segment_payload(self._segments.snapshot_dir, placed) != payload:
+            self._segments.tombstone(record.slug)
+            raise ServingError(
+                "session %s did not read back byte-identically after its "
+                "import" % (key,)
             )
-            self._segments.tombstone(key.slug())
-            return path
-        if os.path.exists(path):
-            return path
-        return None
 
     # ------------------------------------------------------------------ #
     # Eviction

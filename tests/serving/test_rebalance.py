@@ -212,7 +212,7 @@ def test_golden_families_bit_exact_through_live_migration_over_socket(tmp_path):
 
 
 def test_rebalance_moves_cold_and_resident_sessions(tmp_path):
-    """Cold sessions (snapshot file only, nothing resident) must migrate
+    """Cold sessions (segment record only, nothing resident) must migrate
     alongside hot ones — and continue bit-identically when touched after
     the migration."""
     model, materialized, theta = _single_market()
@@ -297,12 +297,12 @@ def test_commit_refuses_stranded_overrides(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# Columnar store: segment-format shards through a live migration
+# Segment logs through a live migration and back
 # --------------------------------------------------------------------------- #
 
 
 def test_segment_format_live_migration_bit_exact(tmp_path):
-    """A sharded service whose stores snapshot into mmap segments must
+    """A sharded service whose stores snapshot into segment logs must
     migrate 2→3 (and back down 3→2) with every session — resident and
     cold-in-segment — continuing bit-identically, scale-in included (the
     trailing shard can only retire once its segment index is empty)."""
@@ -311,9 +311,9 @@ def test_segment_format_live_migration_bit_exact(tmp_path):
         model, golden_specs.build_pricer(FAMILY, theta), materialized=materialized
     )
     factory = lambda key: (model, golden_specs.build_pricer(FAMILY, theta))
-    # One cold session guaranteed to relocate under the new divisor (it
-    # travels as a legacy export) and one guaranteed to stay put (its
-    # segment record survives the migration and must hydrate zero-copy).
+    # One cold session guaranteed to relocate under the new divisor (its
+    # record travels to the target's log) and one guaranteed to stay put
+    # (its segment record survives the migration and must hydrate zero-copy).
     cold_move = next(
         key
         for index in range(1000)
@@ -335,7 +335,6 @@ def test_segment_format_live_migration_bit_exact(tmp_path):
         num_shards=2,
         snapshot_dir=str(tmp_path),
         persist_every=1,
-        snapshot_format="segment",
     ) as sharded:
         _drive_sync(sharded, cold_move, materialized, 0, 10, posted[cold_move])
         _drive_sync(sharded, cold_stay, materialized, 0, 10, posted[cold_stay])
@@ -345,7 +344,6 @@ def test_segment_format_live_migration_bit_exact(tmp_path):
         num_shards=2,
         snapshot_dir=str(tmp_path),
         persist_every=1,
-        snapshot_format="segment",
     ) as sharded:
         for key in hot_keys:
             _drive_sync(sharded, key, materialized, 0, 6, posted[key])
@@ -364,8 +362,8 @@ def test_segment_format_live_migration_bit_exact(tmp_path):
             _drive_sync(sharded, key, materialized, 6, 12, posted[key])
         _drive_sync(sharded, cold_move, materialized, 10, 12, posted[cold_move])
         _drive_sync(sharded, cold_stay, materialized, 10, 12, posted[cold_stay])
-        # Scale back in: every session leaves shard 2 as a legacy export,
-        # its segment record tombstoned, so the retirement check passes.
+        # Scale back in: every session leaves shard 2 as an exported record,
+        # tombstoned there, so the retirement check passes.
         report_down = rebalance_live(sharded, 2)
         assert sharded.num_shards == 2
         assert {move.key for move in report_down.moves} == expected_moves

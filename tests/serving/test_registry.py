@@ -9,13 +9,14 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "golden"))
 import golden_specs
 
-from repro.engine import load_checkpoint, prepare, simulate
+from repro.engine import prepare, simulate
 from repro.serving import (
     FeedbackEvent,
     PricerRegistry,
     QuoteRequest,
     QuoteService,
     SessionKey,
+    list_segment_sessions,
 )
 
 FAMILY = "ellipsoid-reserve"
@@ -63,19 +64,17 @@ def test_write_behind_cadence_persists_every_nth_update(tmp_path):
     )
     service = QuoteService(registry)
     key = SessionKey("app", "cadence")
-    path = registry.snapshot_path(key)
 
     _drive(service, key, materialized, 0, 4)
-    assert not os.path.exists(path)  # below the cadence
+    assert key not in list_segment_sessions(str(tmp_path))  # below the cadence
     _drive(service, key, materialized, 4, 12)
     # Persisted at updates 5 and 10; the snapshot trails the live session by
     # at most persist_every updates.
-    assert os.path.exists(path)
-    assert load_checkpoint(path).rounds_done == 10
+    assert list_segment_sessions(str(tmp_path))[key].rounds_done == 10
     assert registry.stats.persists == 2
 
     registry.flush()
-    assert load_checkpoint(path).rounds_done == 12
+    assert list_segment_sessions(str(tmp_path))[key].rounds_done == 12
 
 
 def test_lru_eviction_persists_and_rehydrates_exactly(tmp_path):
@@ -216,3 +215,5 @@ def test_registry_validates_configuration():
         PricerRegistry(_factory(model, theta), max_sessions=0)
     with pytest.raises(ValueError):
         PricerRegistry(_factory(model, theta), persist_every=-1)
+    with pytest.raises(ValueError, match="segment"):
+        PricerRegistry(_factory(model, theta), snapshot_format="legacy")

@@ -4,9 +4,10 @@ The golden-family bar: replay **half a horizon on 2 shards**, persist,
 migrate the snapshot tree to **3 shards**, resume on the migrated tree, and
 the stitched transcript must be bit-identical to the uninterrupted offline
 engine — for every golden pricer family.  Plus structural tests: sessions
-land in the directory their key hashes to under the new count, wrong
-declared source counts are rejected, verification catches corruption, and
-the CLI drives the same path.
+land in the segment log of the directory their key hashes to under the new
+count, wrong declared source counts and trees still holding files of an
+earlier version are rejected, verification catches corruption, and the CLI
+drives the same path.
 """
 
 import importlib.util
@@ -26,11 +27,13 @@ from repro.serving import (
     QuoteRequest,
     SessionKey,
     ShardedRegistry,
+    list_segment_sessions,
     plan_reshard,
     reshard_snapshots,
     shard_of_key,
 )
-from repro.serving.resharding import SESSION_SUFFIX, discover_shard_dirs, shard_dir
+from repro.serving.resharding import discover_shard_dirs, shard_dir
+from repro.serving.store import SEGMENT_DIR, SESSION_SUFFIX
 
 FAMILY = "ellipsoid-reserve"
 
@@ -73,7 +76,7 @@ def test_reshard_mid_horizon_matches_offline(tmp_path, family):
         assert sharded.persist_all() == 1
 
     # Migrate with full hydration verification (fresh pricer restored from
-    # the migrated file must re-extract the exact source state).
+    # the migrated record must re-extract the exact source state).
     report = reshard_snapshots(
         str(source), str(target), target_shards=3, factory=factory
     )
@@ -83,7 +86,7 @@ def test_reshard_mid_horizon_matches_offline(tmp_path, family):
     assert move.key == key
     assert move.source_shard == shard_of_key(key, 2)
     assert move.target_shard == shard_of_key(key, 3)
-    assert os.path.exists(move.target_path)
+    assert move.key in list_segment_sessions(move.target_dir)
 
     with ShardedRegistry(factory, num_shards=3, snapshot_dir=str(target)) as sharded:
         second_posted, second_sold = _drive(sharded, key, materialized, split, rounds)
@@ -127,18 +130,18 @@ def test_reshard_layout_places_every_session_on_its_hash(tmp_path):
     assert report.sessions == 12
     assert report.verified and not report.hydration_verified
     # Every target shard dir exists (a restarted registry finds its layout),
-    # and every file sits exactly where its key hashes under 5 shards.
+    # and every record sits exactly where its key hashes under 5 shards.
     for shard in range(5):
         assert os.path.isdir(shard_dir(str(target), shard))
     placed = 0
     for shard, directory in discover_shard_dirs(str(target)).items():
-        for name in os.listdir(directory):
-            assert name.endswith(SESSION_SUFFIX)
+        for key in list_segment_sessions(directory):
+            assert shard_of_key(key, 5) == shard
             placed += 1
     assert placed == 12
     for move in report.moves:
         assert move.target_shard == shard_of_key(move.key, 5)
-        assert os.path.dirname(move.target_path) == shard_dir(str(target), move.target_shard)
+        assert move.target_dir == shard_dir(str(target), move.target_shard)
     assert report.relocated == sum(
         1 for key in keys if shard_of_key(key, 2) != shard_of_key(key, 5)
     )
@@ -181,6 +184,11 @@ def test_reshard_refuses_in_place_and_missing_trees(tmp_path):
     (ambiguous / "shard-01").mkdir()
     with pytest.raises(ReshardingError, match="appears twice"):
         discover_shard_dirs(str(ambiguous))
+    # A .session.npz of an earlier version would have to be moved into the
+    # source's log first, and the resharder never writes its source.
+    (source / "shard-00" / ("old" + SESSION_SUFFIX)).write_bytes(b"")
+    with pytest.raises(ReshardingError, match="earlier version"):
+        plan_reshard(str(source), str(tmp_path / "out"), target_shards=3)
 
 
 def test_verification_catches_corrupted_migration(tmp_path):
@@ -188,16 +196,19 @@ def test_verification_catches_corrupted_migration(tmp_path):
     source, _factory = _populated_tree(tmp_path, keys, num_shards=2)
     target = tmp_path / "out"
     report = reshard_snapshots(str(source), str(target), target_shards=3, verify=False)
-    # Corrupt the migrated file, then verify: the divergence must be caught.
+    # Flip one byte of the migrated record, then verify: the divergence
+    # must be caught.
     move = report.moves[0]
-    with open(move.source_path, "rb") as handle:
-        data = handle.read()
-    with open(move.target_path, "wb") as handle:
-        handle.write(data[: len(data) // 2])
-    from repro.engine.checkpoint import CheckpointError
+    record = list_segment_sessions(move.target_dir)[move.key]
+    path = os.path.join(move.target_dir, SEGMENT_DIR, "seg-%06d.seg" % record.file_id)
+    with open(path, "r+b") as handle:
+        handle.seek(record.offset)
+        byte = handle.read(1)
+        handle.seek(record.offset)
+        handle.write(bytes([byte[0] ^ 0xFF]))
     from repro.serving import verify_reshard
 
-    with pytest.raises((ReshardingError, CheckpointError)):
+    with pytest.raises(ReshardingError, match="diverged"):
         verify_reshard(report)
 
 
@@ -254,16 +265,16 @@ def test_mid_copy_failure_leaves_no_half_written_target_tree(tmp_path, monkeypat
     source, _factory = _populated_tree(tmp_path, keys, num_shards=2)
     target = tmp_path / "out"
 
-    real_write = resharding_module._atomic_write
+    real_read = resharding_module.read_segment_payload
     calls = {"count": 0}
 
-    def failing_write(path, data):
+    def failing_read(directory, record):
         calls["count"] += 1
         if calls["count"] == 3:
-            raise OSError("disk full (injected)")
-        real_write(path, data)
+            raise OSError("I/O error (injected)")
+        return real_read(directory, record)
 
-    monkeypatch.setattr(resharding_module, "_atomic_write", failing_write)
+    monkeypatch.setattr(resharding_module, "read_segment_payload", failing_read)
     with pytest.raises(OSError, match="injected"):
         reshard_snapshots(str(source), str(target), target_shards=3)
     assert calls["count"] == 3
@@ -275,7 +286,7 @@ def test_mid_copy_failure_leaves_no_half_written_target_tree(tmp_path, monkeypat
     ]
     assert leftovers == []
     # The same migration succeeds cleanly afterwards.
-    monkeypatch.setattr(resharding_module, "_atomic_write", real_write)
+    monkeypatch.setattr(resharding_module, "read_segment_payload", real_read)
     report = reshard_snapshots(str(source), str(target), target_shards=3)
     assert report.verified and report.sessions == 6
 

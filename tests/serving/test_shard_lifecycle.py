@@ -10,7 +10,9 @@ Regression tier for the shard-lifecycle bugfix sweep:
   responses and outcomes routed to healthy shards are still returned, and
   subsequent polls return normally instead of re-raising forever;
 * ``respawn_shard`` brings a killed worker back: its sessions re-hydrate
-  from their write-behind snapshots bit-identically.
+  from their write-behind snapshots bit-identically;
+* ``remove_trailing_shard`` refuses a shard that still holds a session,
+  cold in its segment log or resident.
 """
 
 import asyncio
@@ -28,7 +30,7 @@ import golden_specs
 
 from repro.core.baselines import FixedPricePricer
 from repro.engine import prepare, simulate, stream_rounds
-from repro.exceptions import ServingError
+from repro.exceptions import RebalanceError, ServingError
 from repro.serving import (
     AsyncQuoteClient,
     FeedbackEvent,
@@ -349,4 +351,70 @@ def test_respawn_shard_rehydrates_bit_identically(tmp_path):
         assert stats["registry"]["hydrations"] >= 1
     assert np.array_equal(
         np.array(posted), offline.transcript.posted_prices[:24], equal_nan=True
+    )
+
+
+# --------------------------------------------------------------------------- #
+# Scale-in guard
+# --------------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize(
+    "resident, refusal",
+    [(False, "segment-resident session"), (True, "resident session")],
+    ids=["cold", "resident"],
+)
+def test_remove_trailing_shard_refuses_a_shard_holding_a_session(
+    tmp_path, resident, refusal
+):
+    """Retiring the trailing shard while a session lives there — only in its
+    segment log after a restart, or resident and never persisted — would
+    strand the session; the guard refuses, and the session continues
+    bit-identically on that shard."""
+    model, materialized, theta = _market()
+    offline = simulate(
+        model, golden_specs.build_pricer(FAMILY, theta), materialized=materialized
+    )
+    key = next(
+        key
+        for index in range(1000)
+        for key in [SessionKey("app", "scale-in-%d" % index)]
+        if shard_of_key(key, 3) == 2
+    )
+    posted = []
+
+    def drive(sharded, start, stop):
+        for round_ in stream_rounds(materialized.slice(start, stop)):
+            response = sharded.quote(
+                QuoteRequest(key=key, features=round_.features, reserve=round_.reserve)
+            )
+            sold = bool(response.posted and response.posted_price <= round_.market_value)
+            sharded.feedback(
+                FeedbackEvent(key=key, quote_id=response.quote_id, accepted=sold)
+            )
+            posted.append(np.nan if response.posted_price is None else response.posted_price)
+
+    def refuse_then_continue(sharded, hydrations):
+        with pytest.raises(RebalanceError, match=refusal):
+            sharded.remove_trailing_shard()
+        assert sharded.num_shards == 3
+        drive(sharded, 4, 8)
+        assert sharded.stats()["registry"]["hydrations"] == hydrations
+
+    with _sharded(
+        model,
+        theta,
+        num_shards=3,
+        snapshot_dir=str(tmp_path),
+        persist_every=0 if resident else 1,
+    ) as sharded:
+        drive(sharded, 0, 4)
+        if resident:
+            refuse_then_continue(sharded, hydrations=0)
+    if not resident:
+        # After a restart the session lives only in shard 2's segment log.
+        with _sharded(model, theta, num_shards=3, snapshot_dir=str(tmp_path)) as sharded:
+            refuse_then_continue(sharded, hydrations=1)
+    assert np.array_equal(
+        np.array(posted), offline.transcript.posted_prices[:8], equal_nan=True
     )

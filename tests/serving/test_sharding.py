@@ -24,6 +24,7 @@ from repro.serving import (
     QuoteRequest,
     SessionKey,
     ShardedRegistry,
+    list_segment_sessions,
     shard_of_key,
 )
 
@@ -194,8 +195,8 @@ def test_closed_loop_replay_across_shards_matches_offline_engine():
 
 def test_per_shard_snapshot_dirs_hydrate_bit_identically(tmp_path):
     """Persist on one sharded service, restart, continue — the stitched
-    replay equals the uninterrupted offline transcript, and the snapshot
-    files live under their shard's directory."""
+    replay equals the uninterrupted offline transcript, and the session's
+    record lives in its shard's segment log."""
     model, materialized, theta = _market()
     offline = simulate(
         model, golden_specs.build_pricer(FAMILY, theta), materialized=materialized
@@ -220,8 +221,7 @@ def test_per_shard_snapshot_dirs_hydrate_bit_identically(tmp_path):
     with _sharded(model, theta, num_shards=2, snapshot_dir=str(tmp_path)) as sharded:
         first = _drive(sharded, 0, split)
         assert sharded.persist_all() == 1
-    shard_dir = tmp_path / ("shard-%02d" % shard)
-    assert any(name.endswith(".session.npz") for name in os.listdir(shard_dir))
+    assert key in list_segment_sessions(str(tmp_path / ("shard-%02d" % shard)))
 
     with _sharded(model, theta, num_shards=2, snapshot_dir=str(tmp_path)) as sharded:
         second = _drive(sharded, split, rounds)

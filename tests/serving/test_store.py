@@ -1,12 +1,14 @@
-"""The session store: golden round-trips in both snapshot formats, legacy →
-segment migration, clock-hand eviction, and the resident footprint.
+"""The session store: golden round-trips through the segment log, files of
+earlier versions moved in at open, the move primitive, the bounded log,
+clock-hand eviction, and the resident footprint.
 
-The acceptance bar of the store refactor: every golden family's state must
-survive persist → evict → hydrate **bit-identically** whether the snapshot
-lives in a per-session ``.session.npz`` file or an mmap segment record, a
-directory holding both formats at once must read correctly (the migration
-story), and the clock hand must pick the same victims the old LRU scan did
-for plain access patterns while honouring the pinned/pending exemptions.
+The acceptance bar of the store: every golden family's state must survive
+persist → evict → hydrate **bit-identically** through a segment record, a
+session must move between logs as one record plus its bytes, the log must
+stay within a constant factor of its live records however long it churns
+(crash-safe compaction included), and the clock hand must pick the same
+victims the old LRU scan did for plain access patterns while honouring the
+pinned/pending exemptions.
 """
 
 import gc
@@ -26,16 +28,18 @@ from repro.apps.noisy_linear_query import (
     build_noisy_query_environment,
 )
 from repro.core.knowledge import PolytopeKnowledge
-from repro.engine import load_checkpoint, prepare, simulate, state_equal, stream_rounds
+from repro.engine import prepare, simulate, state_equal, stream_rounds
+from repro.engine.checkpoint import CheckpointError, save_state_checkpoint
 from repro.serving import (
     FeedbackEvent,
     PricerRegistry,
     QuoteRequest,
     QuoteService,
+    SegmentLog,
     SessionKey,
-    export_segments_to_legacy,
     list_segment_sessions,
 )
+from repro.serving import store as store_module
 from repro.serving.store import SEGMENT_DIR, SEGMENT_INDEX, SESSION_SUFFIX
 
 ALL_FAMILIES = sorted(golden_specs.GOLDEN_SPECS)
@@ -63,18 +67,15 @@ def _drive(service, key, materialized, start, stop):
 
 
 # --------------------------------------------------------------------------- #
-# Golden round-trips: both formats, all families, bit-identical
+# Golden round-trips: all families, bit-identical
 # --------------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("snapshot_format", ["legacy", "segment"])
 @pytest.mark.parametrize("family", ALL_FAMILIES)
-def test_golden_roundtrip_bit_identical(tmp_path, family, snapshot_format):
+def test_golden_roundtrip_bit_identical(tmp_path, family):
     model, materialized, theta = _market(family)
     registry = PricerRegistry(
-        _factory(family, model, theta),
-        snapshot_dir=str(tmp_path),
-        snapshot_format=snapshot_format,
+        _factory(family, model, theta), snapshot_dir=str(tmp_path)
     )
     service = QuoteService(registry)
     key = SessionKey("golden", family)
@@ -89,16 +90,11 @@ def test_golden_roundtrip_bit_identical(tmp_path, family, snapshot_format):
     assert session.hydrated
     assert state_equal(session.pricer.state_dict(), before)
 
-    # Hydration source accounting is exact per format.
-    if snapshot_format == "segment":
-        assert registry.stats.zero_copy_hydrations == 1
-        assert registry.stats.legacy_hydrations == 0
-        assert registry.stats.segments >= 1
-        assert registry.stats.segment_bytes >= 0
-    else:
-        assert registry.stats.zero_copy_hydrations == 0
-        assert registry.stats.legacy_hydrations == 1
-        assert registry.stats.segments == 0
+    # Hydration source accounting is exact.
+    assert registry.stats.zero_copy_hydrations == 1
+    assert registry.stats.legacy_hydrations == 0
+    assert registry.stats.segments >= 1
+    assert registry.stats.segment_bytes >= 0
     assert (
         registry.stats.zero_copy_hydrations + registry.stats.legacy_hydrations
         == registry.stats.hydrations
@@ -107,16 +103,15 @@ def test_golden_roundtrip_bit_identical(tmp_path, family, snapshot_format):
 
 
 def test_segment_thrashing_transcript_matches_offline(tmp_path):
-    """max_sessions=1 with two alternating sessions in *segment* format:
-    every access thrashes through persist → evict → zero-copy hydrate, and
-    both transcripts must still equal an uninterrupted offline run exactly."""
+    """max_sessions=1 with two alternating sessions: every access thrashes
+    through persist → evict → zero-copy hydrate, and both transcripts must
+    still equal an uninterrupted offline run exactly."""
     family = "ellipsoid-reserve"
     model, materialized, theta = _market(family)
     registry = PricerRegistry(
         _factory(family, model, theta),
         snapshot_dir=str(tmp_path),
         max_sessions=1,
-        snapshot_format="segment",
     )
     service = QuoteService(registry)
     keys = [SessionKey("app", "alpha"), SessionKey("app", "beta")]
@@ -163,143 +158,117 @@ def test_segment_thrashing_transcript_matches_offline(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# Migration: legacy files and segment records coexisting in one directory
+# Files of earlier versions, and the move primitive
 # --------------------------------------------------------------------------- #
 
 
-def test_legacy_to_segment_migration_and_mixed_directory(tmp_path):
+def _write_session_file(directory, key, pricer):
+    """A ``.session.npz`` as earlier versions of the registry wrote one."""
+    save_state_checkpoint(
+        os.path.join(directory, key.slug() + SESSION_SUFFIX),
+        type(pricer).__name__,
+        pricer.rounds_seen,
+        pricer.state_dict(),
+        meta={"app": key.app, "segment": key.segment},
+    )
+
+
+def test_session_files_of_earlier_versions_move_into_the_log_at_open(tmp_path):
+    """Opening a directory turns each ``.session.npz`` into a segment record
+    and deletes the file; a record the log already holds is newer and wins."""
     family = "ellipsoid-reserve"
     model, materialized, theta = _market(family)
-    key_old = SessionKey("app", "from-legacy")
-    key_new = SessionKey("app", "segment-native")
+    key_old = SessionKey("app", "from-file")
+    key_both = SessionKey("app", "file-and-record")
 
-    # Era 1: a legacy-format store persists key_old the old way.
-    legacy = PricerRegistry(
-        _factory(family, model, theta), snapshot_dir=str(tmp_path)
-    )
-    service = QuoteService(legacy)
-    _drive(service, key_old, materialized, 0, 16)
-    expected_old = legacy.session(key_old).pricer.state_dict()
-    legacy.flush()
-    legacy_path = legacy.snapshot_path(key_old)
-    assert os.path.exists(legacy_path)
-    legacy.close()
-
-    # Era 2: the same directory reopened in segment format.  key_old
-    # hydrates from its legacy file; key_new is born straight into segments.
-    store = PricerRegistry(
-        _factory(family, model, theta),
-        snapshot_dir=str(tmp_path),
-        snapshot_format="segment",
-    )
+    store = PricerRegistry(_factory(family, model, theta), snapshot_dir=str(tmp_path))
     service = QuoteService(store)
-    session_old = store.session(key_old)
-    assert session_old.hydrated
-    assert store.stats.legacy_hydrations == 1
-    assert state_equal(session_old.pricer.state_dict(), expected_old)
-
-    _drive(service, key_new, materialized, 0, 16)
-    expected_new = store.session(key_new).pricer.state_dict()
+    _drive(service, key_both, materialized, 0, 16)
+    expected_both = store.session(key_both).pricer.state_dict()
     store.flush()
+    store.close()
 
-    # Persisting through the segment store retires the stale legacy file —
-    # the segment record is now the one authoritative copy.
-    assert not os.path.exists(legacy_path)
-    resident = set(list_segment_sessions(str(tmp_path)))
-    assert resident == {key_old, key_new}
+    # Files of an earlier version: key_old's only copy, and a stale older
+    # state of key_both beside its newer record.
+    writer = PricerRegistry(_factory(family, model, theta))
+    _drive(QuoteService(writer), key_old, materialized, 0, 12)
+    _drive(QuoteService(writer), key_both, materialized, 0, 4)
+    expected_old = writer.session(key_old).pricer.state_dict()
+    _write_session_file(str(tmp_path), key_old, writer.session(key_old).pricer)
+    _write_session_file(str(tmp_path), key_both, writer.session(key_both).pricer)
 
-    assert store.evict(key_old) and store.evict(key_new)
-    rehydrated_old = store.session(key_old)
-    rehydrated_new = store.session(key_new)
+    store = PricerRegistry(_factory(family, model, theta), snapshot_dir=str(tmp_path))
+    assert not [n for n in os.listdir(str(tmp_path)) if n.endswith(SESSION_SUFFIX)]
+    assert set(list_segment_sessions(str(tmp_path))) == {key_old, key_both}
+    for key, expected in ((key_old, expected_old), (key_both, expected_both)):
+        session = store.session(key)
+        assert session.hydrated
+        assert state_equal(session.pricer.state_dict(), expected)
     assert store.stats.zero_copy_hydrations == 2
-    assert state_equal(rehydrated_old.pricer.state_dict(), expected_old)
-    assert state_equal(rehydrated_new.pricer.state_dict(), expected_new)
+    assert store.stats.legacy_hydrations == 0
     store.close()
 
 
-def test_export_segments_to_legacy_bridges_offline_resharder(tmp_path):
-    family = "sgd"
+def test_export_import_moves_resident_and_cold_sessions(tmp_path):
+    """A session leaves one log as ``(record, payload)`` — resident or cold —
+    and enters another verbatim, hydrating there bit-identically."""
+    family = "ellipsoid-reserve"
     model, materialized, theta = _market(family)
-    keys = [SessionKey("app", "a"), SessionKey("app", "b")]
+    source_dir, target_dir = str(tmp_path / "source"), str(tmp_path / "target")
+    source = PricerRegistry(_factory(family, model, theta), snapshot_dir=source_dir)
+    target = PricerRegistry(_factory(family, model, theta), snapshot_dir=target_dir)
+    service = QuoteService(source)
+    hot, cold = SessionKey("app", "hot"), SessionKey("app", "cold")
     expected = {}
+    for key in (hot, cold):
+        _drive(service, key, materialized, 0, 8)
+        expected[key] = source.session(key).pricer.state_dict()
+    assert source.evict(cold)
+    assert source.export_session(SessionKey("app", "unknown")) is None
 
-    store = PricerRegistry(
-        _factory(family, model, theta),
-        snapshot_dir=str(tmp_path),
-        snapshot_format="segment",
-    )
-    service = QuoteService(store)
-    for key in keys:
-        _drive(service, key, materialized, 0, 12)
-        expected[key] = store.session(key).pricer.state_dict()
-    store.flush()
-    store.close()
-
-    assert export_segments_to_legacy(str(tmp_path)) == 2
-    assert list_segment_sessions(str(tmp_path)) == {}
-
-    # The exported files are ordinary checkpoints a legacy store hydrates.
-    legacy = PricerRegistry(
-        _factory(family, model, theta), snapshot_dir=str(tmp_path)
-    )
-    for key in keys:
-        session = legacy.session(key)
+    for key in (hot, cold):
+        record, payload = source.export_session(key)
+        assert record.key() == key and len(payload) == record.length
+        assert key not in source
+        assert key not in list_segment_sessions(source_dir)
+        target.import_session(record, payload)
+        placed = list_segment_sessions(target_dir)[key]
+        assert (placed.pricer_type, placed.rounds_done) == (
+            record.pricer_type,
+            record.rounds_done,
+        )
+        session = target.session(key)
         assert session.hydrated
         assert state_equal(session.pricer.state_dict(), expected[key])
-    assert legacy.stats.legacy_hydrations == 2
+    assert source.stats.exports == 1
+    assert source.stats.evictions == 1
+    assert source.session(cold).hydrated is False
+    source.close()
+    target.close()
 
 
-def test_export_session_tombstones_segment_record(tmp_path):
-    family = "ellipsoid-reserve"
-    model, materialized, theta = _market(family)
-    key = SessionKey("app", "moving")
+def test_record_of_another_pricer_type_raises(tmp_path):
+    """A record persisted by another pricer family must not silently turn
+    into a fresh session that the next persist overwrites."""
+    model, materialized, theta = _market("ellipsoid-reserve")
+    key = SessionKey("app", "typed")
     store = PricerRegistry(
-        _factory(family, model, theta),
-        snapshot_dir=str(tmp_path),
-        snapshot_format="segment",
+        _factory("ellipsoid-reserve", model, theta), snapshot_dir=str(tmp_path)
     )
-    service = QuoteService(store)
-    _drive(service, key, materialized, 0, 8)
-    expected = store.session(key).pricer.state_dict()
+    _drive(QuoteService(store), key, materialized, 0, 6)
     store.flush()
-    assert key in list_segment_sessions(str(tmp_path))
-
-    path = store.export_session(key)
-    assert os.path.exists(path)
-    assert key not in store
-    assert key not in list_segment_sessions(str(tmp_path))
-    assert store.stats.exports == 1
-    assert store.stats.evictions == 0
-    assert state_equal(load_checkpoint(path).state, expected)
     store.close()
 
-
-def test_materialize_legacy_rewrites_cold_segment_record(tmp_path):
-    family = "ellipsoid-reserve"
-    model, materialized, theta = _market(family)
-    key = SessionKey("app", "cold")
-    store = PricerRegistry(
-        _factory(family, model, theta),
-        snapshot_dir=str(tmp_path),
-        snapshot_format="segment",
+    sgd_model, _materialized, sgd_theta = _market("sgd")
+    reopened = PricerRegistry(
+        _factory("sgd", sgd_model, sgd_theta), snapshot_dir=str(tmp_path)
     )
-    service = QuoteService(store)
-    _drive(service, key, materialized, 0, 8)
-    expected = store.session(key).pricer.state_dict()
-    store.flush()
-    assert store.evict(key)
-
-    path = store.materialize_legacy(key)
-    assert path is not None and os.path.exists(path)
-    assert key not in list_segment_sessions(str(tmp_path))
-    assert state_equal(load_checkpoint(path).state, expected)
-
-    # Hydration now comes from the rewritten file.
-    session = store.session(key)
-    assert session.hydrated
-    assert store.stats.legacy_hydrations == 1
-    assert state_equal(session.pricer.state_dict(), expected)
-    store.close()
+    with pytest.raises(CheckpointError, match="EllipsoidPricer"):
+        reopened.session(key)
+    assert key not in reopened
+    assert reopened.stats.created == 0
+    assert list_segment_sessions(str(tmp_path))[key].pricer_type == "EllipsoidPricer"
+    reopened.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -313,7 +282,6 @@ def test_segment_files_rotate_at_max_bytes(tmp_path):
     store = PricerRegistry(
         _factory(family, model, theta),
         snapshot_dir=str(tmp_path),
-        snapshot_format="segment",
         segment_max_bytes=64,  # the minimum: every append rolls to a fresh segment
     )
     service = QuoteService(store)
@@ -331,15 +299,12 @@ def test_segment_files_rotate_at_max_bytes(tmp_path):
 
 def test_torn_index_tail_is_tolerated(tmp_path):
     """A crash mid-append leaves a partial final index line; replay must
-    keep every complete record and drop only the torn tail."""
+    keep every complete record and drop only the torn tail, and records
+    appended after the reopen must not land on the torn line."""
     family = "ellipsoid-reserve"
     model, materialized, theta = _market(family)
     key = SessionKey("app", "survivor")
-    store = PricerRegistry(
-        _factory(family, model, theta),
-        snapshot_dir=str(tmp_path),
-        snapshot_format="segment",
-    )
+    store = PricerRegistry(_factory(family, model, theta), snapshot_dir=str(tmp_path))
     service = QuoteService(store)
     _drive(service, key, materialized, 0, 12)
     expected = store.session(key).pricer.state_dict()
@@ -350,16 +315,156 @@ def test_torn_index_tail_is_tolerated(tmp_path):
     with open(index_path, "ab") as handle:
         handle.write(b'{"slug": "torn-mid-wri')  # no trailing newline
 
-    reopened = PricerRegistry(
-        _factory(family, model, theta),
-        snapshot_dir=str(tmp_path),
-        snapshot_format="segment",
-    )
+    reopened = PricerRegistry(_factory(family, model, theta), snapshot_dir=str(tmp_path))
     session = reopened.session(key)
     assert session.hydrated
     assert reopened.stats.zero_copy_hydrations == 1
     assert state_equal(session.pricer.state_dict(), expected)
+
+    expected = {key: expected}
+    service = QuoteService(reopened)
+    for later in (SessionKey("app", "after-1"), SessionKey("app", "after-2")):
+        _drive(service, later, materialized, 0, 6)
+        expected[later] = reopened.session(later).pricer.state_dict()
+    reopened.flush()
     reopened.close()
+
+    again = PricerRegistry(_factory(family, model, theta), snapshot_dir=str(tmp_path))
+    assert set(list_segment_sessions(str(tmp_path))) == set(expected)
+    for each, state in expected.items():
+        session = again.session(each)
+        assert session.hydrated
+        assert state_equal(session.pricer.state_dict(), state)
+    again.close()
+
+
+# --------------------------------------------------------------------------- #
+# The bounded log: compaction
+# --------------------------------------------------------------------------- #
+
+
+def _segment_files(directory):
+    return sorted(
+        name
+        for name in os.listdir(os.path.join(directory, SEGMENT_DIR))
+        if name.endswith(".seg")
+    )
+
+
+@pytest.mark.parametrize("family", ["ellipsoid-reserve", "one-dim"])
+def test_segment_log_stays_bounded_under_churn(tmp_path, monkeypatch, family):
+    """Three sessions thrash persist → evict → hydrate through 1 KB segments
+    until the log has appended over 10x its live records: after every round
+    its segment bytes, index lines and mappings stay within a constant
+    factor of the live records, the transcripts equal the offline engine's,
+    and every session hydrates bit-identically from a reopened log."""
+    monkeypatch.setattr(store_module, "COMPACT_LINES", 16)
+    segment_bytes = 1024
+    model, materialized, theta = _market(family)
+    directory = str(tmp_path)
+    registry = PricerRegistry(
+        _factory(family, model, theta),
+        snapshot_dir=directory,
+        max_sessions=1,
+        segment_max_bytes=segment_bytes,
+    )
+    service = QuoteService(registry)
+    keys = [SessionKey("app", "churn-%d" % index) for index in range(3)]
+    rounds = 40
+    posted = {key: [] for key in keys}
+    expected = {}
+    index_path = os.path.join(directory, SEGMENT_DIR, SEGMENT_INDEX)
+    for round_ in stream_rounds(materialized, 0, rounds):
+        for key in keys:
+            response = service.quote(
+                QuoteRequest(key=key, features=round_.features, reserve=round_.reserve)
+            )
+            sold = response.posted and response.posted_price <= round_.market_value
+            service.feedback(
+                FeedbackEvent(key=key, quote_id=response.quote_id, accepted=sold)
+            )
+            posted[key].append(
+                np.nan if response.posted_price is None else response.posted_price
+            )
+            expected[key] = registry.peek(key).pricer.state_dict()
+        live = list_segment_sessions(directory)
+        live_bytes = sum(-(-record.length // 64) * 64 for record in live.values())
+        with open(index_path, "rb") as handle:
+            lines = handle.read().count(b"\n")
+        assert registry.stats.segment_bytes <= 2 * live_bytes + segment_bytes
+        assert lines <= 2 * len(live) + 16
+        assert len(registry._segments._maps) <= len(_segment_files(directory))
+    assert registry.stats.persists >= 10 * len(keys)
+
+    offline = simulate(
+        model,
+        golden_specs.build_pricer(family, theta),
+        materialized=materialized.slice(0, rounds),
+    )
+    for key in keys:
+        assert np.array_equal(
+            np.array(posted[key]), offline.transcript.posted_prices, equal_nan=True
+        )
+    registry.flush()
+    registry.close()
+
+    reopened = PricerRegistry(_factory(family, model, theta), snapshot_dir=directory)
+    for key in keys:
+        session = reopened.session(key)
+        assert session.hydrated
+        assert state_equal(session.pricer.state_dict(), expected[key])
+    reopened.close()
+
+
+@pytest.mark.parametrize("crash", ["before-rename", "after-rename"])
+def test_compaction_cut_short_loses_no_record(tmp_path, monkeypatch, crash):
+    """A compaction cut short before its index rename, or between the
+    rename and the unlinks, leaves every record hydrating on reopen, and
+    the next compaction deletes the files it left behind."""
+    family = "ellipsoid-reserve"
+    model, materialized, theta = _market(family)
+    directory = str(tmp_path)
+    registry = PricerRegistry(_factory(family, model, theta), snapshot_dir=directory)
+    service = QuoteService(registry)
+    keys = [SessionKey("app", "crash-%d" % index) for index in range(3)]
+    expected = {}
+    for stop in (4, 8, 12):  # three persists per session: dead records to drop
+        for key in keys:
+            _drive(service, key, materialized, stop - 4, stop)
+            expected[key] = registry.session(key).pricer.state_dict()
+        registry.flush()
+    registry.close()
+
+    real_write = store_module._atomic_write
+
+    def cut_short(path, data):
+        if crash == "after-rename":
+            real_write(path, data)
+        raise OSError("crash (injected)")
+
+    monkeypatch.setattr(store_module, "_atomic_write", cut_short)
+    log = SegmentLog(directory)
+    with pytest.raises(OSError, match="injected"):
+        log.compact()
+    log.close()
+    monkeypatch.setattr(store_module, "_atomic_write", real_write)
+    assert len(_segment_files(directory)) == 2  # the old file and the fresh one
+
+    reopened = PricerRegistry(_factory(family, model, theta), snapshot_dir=directory)
+    for key in keys:
+        session = reopened.session(key)
+        assert session.hydrated
+        assert state_equal(session.pricer.state_dict(), expected[key])
+    reopened.close()
+
+    log = SegmentLog(directory)
+    log.compact()
+    log.close()
+    live = list_segment_sessions(directory)
+    assert set(live) == set(keys)
+    assert _segment_files(directory) == sorted(
+        {"seg-%06d.seg" % record.file_id for record in live.values()}
+    )
 
 
 # --------------------------------------------------------------------------- #
