@@ -66,24 +66,51 @@ def _drive(service, key, materialized, start, stop):
         )
 
 
-# --------------------------------------------------------------------------- #
-# Golden round-trips: all families, bit-identical
-# --------------------------------------------------------------------------- #
-
-
-@pytest.mark.parametrize("family", ALL_FAMILIES)
-def test_golden_roundtrip_bit_identical(tmp_path, family):
-    model, materialized, theta = _market(family)
-    registry = PricerRegistry(
-        _factory(family, model, theta), snapshot_dir=str(tmp_path)
+def _write_session_file(directory, key, pricer):
+    """A ``.session.npz`` as earlier versions of the registry wrote one."""
+    save_state_checkpoint(
+        os.path.join(directory, key.slug() + SESSION_SUFFIX),
+        type(pricer).__name__,
+        pricer.rounds_seen,
+        pricer.state_dict(),
+        meta={"app": key.app, "segment": key.segment},
     )
-    service = QuoteService(registry)
-    key = SessionKey("golden", family)
-    _drive(service, key, materialized, 0, 24)
 
-    before = registry.session(key).pricer.state_dict()
-    registry.flush()
-    assert registry.evict(key)
+
+# --------------------------------------------------------------------------- #
+# Golden round-trips: all families, both origins, bit-identical
+# --------------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("origin", ["legacy", "segment"])
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_golden_roundtrip_bit_identical(tmp_path, family, origin):
+    """Every family hydrates bit-identically from the log, whether the log
+    persisted the state itself (``segment``) or took it over at open from a
+    ``.session.npz`` file of an earlier version (``legacy``)."""
+    model, materialized, theta = _market(family)
+    key = SessionKey("golden", family)
+    if origin == "legacy":
+        writer = PricerRegistry(_factory(family, model, theta))
+        _drive(QuoteService(writer), key, materialized, 0, 24)
+        before = writer.session(key).pricer.state_dict()
+        _write_session_file(str(tmp_path), key, writer.session(key).pricer)
+        writer.close()
+        registry = PricerRegistry(
+            _factory(family, model, theta), snapshot_dir=str(tmp_path)
+        )
+        assert not [
+            name for name in os.listdir(str(tmp_path)) if name.endswith(SESSION_SUFFIX)
+        ]
+        assert set(list_segment_sessions(str(tmp_path))) == {key}
+    else:
+        registry = PricerRegistry(
+            _factory(family, model, theta), snapshot_dir=str(tmp_path)
+        )
+        _drive(QuoteService(registry), key, materialized, 0, 24)
+        before = registry.session(key).pricer.state_dict()
+        registry.flush()
+        assert registry.evict(key)
     assert key not in registry
 
     session = registry.session(key)
@@ -160,17 +187,6 @@ def test_segment_thrashing_transcript_matches_offline(tmp_path):
 # --------------------------------------------------------------------------- #
 # Files of earlier versions, and the move primitive
 # --------------------------------------------------------------------------- #
-
-
-def _write_session_file(directory, key, pricer):
-    """A ``.session.npz`` as earlier versions of the registry wrote one."""
-    save_state_checkpoint(
-        os.path.join(directory, key.slug() + SESSION_SUFFIX),
-        type(pricer).__name__,
-        pricer.rounds_seen,
-        pricer.state_dict(),
-        meta={"app": key.app, "segment": key.segment},
-    )
 
 
 def test_session_files_of_earlier_versions_move_into_the_log_at_open(tmp_path):
