@@ -7,7 +7,8 @@ re-homes sessions **under traffic**, one at a time, through
 :meth:`~repro.serving.sharding.ShardedRegistry.rehome_session`'s
 per-session quiesce (park new admissions, drain, export the session's
 segment record, append its bytes verbatim to the target shard's log and
-read them back, re-attach on the target, replay the parked quotes) — every
+read them back, retire the source's record, re-attach on the target,
+replay the parked quotes) — every
 session *not* currently moving keeps serving throughout, and the whole
 migration is verifiable by the same bit-exactness contract as the offline
 path.

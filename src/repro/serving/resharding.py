@@ -33,10 +33,10 @@ Verification levels:
 * **record-exact** (always, unless disabled): every target record carries
   its source record's pricer type, rounds, skeleton, array layout and meta,
   and its bytes equal the source's byte for byte;
-* **hydration** (with a ``factory``): a fresh pricer is built for each
-  migrated key, the target record is restored into it, and its
-  re-extracted ``state_dict()`` must equal the source state exactly — the
-  full restart path, not just the copy.
+* **hydration** (with a ``factory``): a scratch registry imports each
+  target record and hydrates it zero-copy from its log, as a restarted
+  shard does; the hydrated ``state_dict()`` must equal the source state
+  exactly, before and after a persist → evict → hydrate round trip.
 
 ``scripts/reshard.py`` wraps this as a CLI.
 """
@@ -47,19 +47,18 @@ import os
 import re
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.engine import checkpoint as checkpoint_store
 from repro.engine.equivalence import state_equal
 from repro.exceptions import ReshardingError
 from repro.serving.requests import SessionKey
 from repro.serving.sharding import shard_of_key
 from repro.serving.store import (
     SESSION_SUFFIX,
+    PricerRegistry,
     SegmentLog,
     SegmentRecord,
-    encode_record,
     list_segment_sessions,
     read_segment_payload,
     read_segment_record,
@@ -329,14 +328,10 @@ def verify_reshard(report: ReshardReport, factory=None) -> ReshardReport:
 
     Record-exact always: the target record equals the source record but for
     its file and offset, and its bytes equal the source's.  With
-    ``factory``, each migrated session is additionally *hydrated* — a fresh
-    pricer restored from the target record must re-extract a
-    ``state_dict()`` bit-identical to the source state, and the
-    re-extracted state must survive a re-persist into a segment log (the
-    exact path a later persist of the hydrated session takes).  The
-    re-persist runs in a scratch directory that is removed on success and
-    on every exception path.  Raises :class:`ReshardingError` on the first
-    divergence.
+    ``factory``, each migrated session is additionally *hydrated* in a
+    scratch registry (see :func:`_verify_hydration`), whose directory is
+    removed on success and on every exception path.  Raises
+    :class:`ReshardingError` on the first divergence.
     """
     targets: Dict[str, Dict[SessionKey, SegmentRecord]] = {}
     for move in report.moves:
@@ -348,7 +343,7 @@ def verify_reshard(report: ReshardReport, factory=None) -> ReshardReport:
                 "migrated session %s is missing from %s" % (move.key, move.target_dir)
             )
         source = move.record
-        moved_back = target._replace(file_id=source.file_id, offset=source.offset)
+        moved_back = replace(target, file_id=source.file_id, offset=source.offset)
         if moved_back.to_json_line() != source.to_json_line():
             raise ReshardingError(
                 "migrated session %s changed its record" % (move.key,)
@@ -367,38 +362,30 @@ def verify_reshard(report: ReshardReport, factory=None) -> ReshardReport:
 
 
 def _verify_hydration(move: SessionMove, target: SegmentRecord, factory) -> None:
-    """Hydrate one migrated session and re-persist its re-extracted state.
+    """Hydrate one migrated session the way a restarted service does.
 
-    All temporary state (the scratch log of the hydrated pricer) lives in a
-    private directory that is removed in a ``finally`` — success and every
-    exception path (a divergence, a factory error, a corrupt record) leave
-    nothing behind.
+    A scratch registry imports the target record and hydrates it from its
+    log, zero-copy; the state must equal the source state exactly.  It is
+    then persisted, evicted and hydrated once more, and must still equal
+    it.  The scratch directory is removed in a ``finally``, so success and
+    every exception path (a divergence, a factory error, a corrupt record)
+    leave nothing behind.
     """
-    _model, pricer = factory(move.key)
     source_state = read_segment_record(move.source_dir, move.record).state
-    checkpoint_store.restore_pricer(pricer, read_segment_record(move.target_dir, target))
     scratch = tempfile.mkdtemp(prefix=".reshard-verify-")
     try:
-        state = pricer.state_dict()
-        if not state_equal(state, source_state):
-            raise ReshardingError(
-                "session %s hydrated from the migrated record does not "
-                "reproduce the source state exactly" % (move.key,)
-            )
-        log = SegmentLog(scratch)
+        registry = PricerRegistry(factory, snapshot_dir=scratch)
         try:
-            skeleton, arrays = checkpoint_store.flatten_state(state)
-            again = log.append(
-                *encode_record(
-                    move.key, target.pricer_type, target.rounds_done, skeleton, arrays, target.meta
-                )
-            )
+            registry.import_session(target, read_segment_payload(move.target_dir, target))
+            for step in ("hydrated from the migrated record", "re-persisted and hydrated"):
+                state = registry.session(move.key).pricer.state_dict()
+                if not state_equal(state, source_state):
+                    raise ReshardingError(
+                        "session %s %s does not reproduce the source state exactly"
+                        % (move.key, step)
+                    )
+                registry.evict(move.key)
         finally:
-            log.close()
-        if not state_equal(read_segment_record(scratch, again).state, source_state):
-            raise ReshardingError(
-                "session %s does not survive a hydrate → re-persist round "
-                "trip bit-identically" % (move.key,)
-            )
+            registry.close()
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

@@ -33,15 +33,15 @@ correct), the source shard drains the session's queued quotes, the router
 waits for its in-flight feedback to settle (per-session quiesce — every
 other session keeps serving), the source exports its segment record, the
 router relays record and bytes over the pipes to the target, which appends
-them verbatim to its own log and reads them back, the routing table gains
-an override, the session is re-attached (pinned) on the target, and the
-parked quotes are replayed in order.  :mod:`repro.serving.rebalance` drives
-whole N→M migrations over this primitive.  Because each session is pinned
-to one worker at a time and the per-session protocol (quote → feedback →
-next quote) is preserved by per-shard FIFO pipes and ordered parked
-replay, a closed-loop replay through a migration is **bit-identical** to
-the in-process service and to the offline engine (pinned by
-``tests/serving/``).
+them verbatim to its own log and reads them back, the source then retires
+its record, the routing table gains an override, the session is
+re-attached (pinned) on the target, and the parked quotes are replayed in
+order.  :mod:`repro.serving.rebalance` drives whole N→M migrations over
+this primitive.  Because each session is pinned to one worker at a time
+and the per-session protocol (quote → feedback → next quote) is preserved
+by per-shard FIFO pipes and ordered parked replay, a closed-loop replay
+through a migration is **bit-identical** to the in-process service and to
+the offline engine (pinned by ``tests/serving/``).
 
 The default start method is ``fork`` (factories may close over live models
 and numpy arrays, shared copy-on-write); pass ``start_method="spawn"`` with
@@ -208,6 +208,8 @@ def _shard_worker_main(
             elif op == "import_session":
                 registry.import_session(payload["record"], payload["payload"])
                 result = True
+            elif op == "retire_session":
+                result = registry.retire_session(payload)
             elif op == "attach_session":
                 key = payload["key"]
                 session = registry.session(key)
@@ -897,11 +899,12 @@ class ShardedRegistry:
            waits for the session's in-flight feedback to settle (bounded by
            ``quiesce_timeout``; the router lock is released between probes,
            so feedback traffic can drain the session);
-        3. **export** — the source worker hands the quiesced session over as
-           its segment record plus raw bytes and tombstones it; the target
-           appends the bytes verbatim to its own log and reads them back
-           byte for byte (if the target refuses them, the source takes them
-           back);
+        3. **export** — the source worker persists the quiesced session
+           and hands it over as its segment record plus raw bytes; the
+           target appends the bytes verbatim to its own log and reads them
+           back byte for byte, and only then does the source tombstone its
+           record (a move cut short before that leaves the session cold on
+           the source);
         4. **re-home** — the routing table gains an override for the key,
            the target worker re-attaches (hydrates) a session that was
            resident, pinned, and the parked admissions are replayed in
@@ -961,12 +964,11 @@ class ShardedRegistry:
             with self._lock:
                 moved = self._roundtrip(source_handle, "export_session", key)
                 if moved is not None:
-                    try:
-                        self._roundtrip(target_handle, "import_session", moved)
-                    except BaseException:
-                        # The record left the source's log on export.
-                        self._roundtrip(source_handle, "import_session", moved)
-                        raise
+                    # The source keeps its record until the target holds
+                    # the session: a move cut short before the retire
+                    # leaves it cold on the source, never lost.
+                    self._roundtrip(target_handle, "import_session", moved)
+                    self._roundtrip(source_handle, "retire_session", key)
                 self._routing.set_override(key, target_shard)
                 attach = None
                 if moved is not None and moved["resident"]:

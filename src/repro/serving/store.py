@@ -18,18 +18,19 @@ storage pieces around it:
   → file/offset/layout.  Hydration memory-maps the segment and slices the
   state arrays straight out of the page cache — no per-session file open,
   no zlib decompress, no ``.npz`` parse.  The index is append-only (last
-  entry per slug wins, tombstones mark exports) and a line counts once its
-  newline is written: the writer cuts a torn tail a crash mid-append left
-  when it opens the log.  Once dead entries outweigh live ones the log
-  compacts into fresh files under a fresh index, so its disk, index lines
-  and mappings stay within a constant factor of the live state however long
-  the service runs.
+  entry per slug wins, tombstones mark sessions that moved away) and a line
+  counts once its newline is written: the writer cuts a torn tail a crash
+  mid-append left when it opens the log.  Once dead entries outweigh live
+  ones, the next persist compacts the log into fresh files under a fresh
+  index, so its disk, index lines and mappings stay within a constant
+  factor of the live state however long the service runs.
 
 The log is the only snapshot format.  A session moves between logs — shards
 of a live fleet, or snapshot trees of the offline resharder — as one
 :class:`SegmentRecord` plus its raw bytes, appended verbatim to the target's
-log.  ``*.session.npz`` files an earlier version wrote are moved into the log
-when a registry opens their directory.
+log; the source tombstones its record only once the target holds it.
+``*.session.npz`` files an earlier version wrote are moved into the log when
+a registry opens their directory.
 
 Persisting flattens the pricer's ``state_dict``
 (:func:`repro.engine.checkpoint.flatten_state`) straight into a record:
@@ -44,8 +45,8 @@ import math
 import os
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,7 +68,6 @@ __all__ = [
     "SegmentLog",
     "SessionFactory",
     "PricerRegistry",
-    "encode_record",
     "list_segment_sessions",
     "read_segment_payload",
     "read_segment_record",
@@ -201,10 +201,11 @@ class RegistryStats:
 # --------------------------------------------------------------------------- #
 
 
-class SegmentRecord(NamedTuple):
+@dataclass(frozen=True)
+class SegmentRecord:
     """One persisted session inside a segment file (one index-journal line).
 
-    A record that is not placed in a log yet (:func:`encode_record`) has
+    A record that is not placed in a log yet (:func:`_encode_record`) has
     ``file_id`` and ``offset`` of -1.
     """
 
@@ -265,7 +266,7 @@ class SegmentRecord(NamedTuple):
         )
 
 
-def encode_record(
+def _encode_record(
     key: SessionKey,
     pricer_type: str,
     rounds_done: int,
@@ -430,7 +431,6 @@ class SegmentLog:
         )
         del self._records[slug]
         self._live_bytes -= _align(record.length)
-        self._compact_if_due()
         return True
 
     # -- write path ---------------------------------------------------- #
@@ -438,21 +438,18 @@ class SegmentLog:
     def append(self, record: SegmentRecord, payload: bytes) -> SegmentRecord:
         """Append ``payload`` verbatim as ``record``'s bytes and index it.
 
-        Only the record's file and offset change.  Returns the record where
-        its bytes sit when the call returns (a compaction the append
-        triggers moves them).
+        Only the record's file and offset change; returns the placed record.
         """
         file_id, offset = self._write(payload)
         self._handle.flush()
-        placed = record._replace(file_id=file_id, offset=offset)
+        placed = replace(record, file_id=file_id, offset=offset)
         self._append_index_line(placed.to_json_line())
         previous = self._records.get(placed.slug)
         if previous is not None:
             self._live_bytes -= _align(previous.length)
         self._records[placed.slug] = placed
         self._live_bytes += _align(placed.length)
-        self._compact_if_due()
-        return self._records[placed.slug]
+        return placed
 
     def _write(self, payload: bytes) -> Tuple[int, int]:
         """Write ``payload`` at the active file's next aligned offset."""
@@ -477,7 +474,13 @@ class SegmentLog:
         self._active_id += 1
         self._active_size = 0
 
-    def _compact_if_due(self) -> None:
+    def compact_if_due(self) -> None:
+        """:meth:`compact` once dead entries outweigh live ones.
+
+        Neither :meth:`append` nor :meth:`tombstone` compacts: the registry
+        calls this after a persist, so a session move never pays for a
+        compaction.
+        """
         if (
             self._lines > 2 * len(self._records) + COMPACT_LINES
             or self._data_bytes > 2 * self._live_bytes + self._max_bytes
@@ -510,7 +513,7 @@ class SegmentLog:
                     % (record.file_id, record.slug)
                 )
             file_id, offset = self._write(payload)
-            placed[record.slug] = record._replace(file_id=file_id, offset=offset)
+            placed[record.slug] = replace(record, file_id=file_id, offset=offset)
         if self._handle is not None:
             self._handle.flush()
         if self._index_handle is not None:
@@ -626,8 +629,10 @@ def read_segment_record(
 def _adopt_session_files(log: SegmentLog) -> None:
     """Move the ``*.session.npz`` files of earlier versions into ``log``.
 
-    Each file becomes a segment record and is then deleted.  A record the
-    log already holds for the session is newer and wins.
+    Each file becomes a segment record and is then deleted.  Where the log
+    already holds a record for the session, the copy that has priced more
+    rounds wins, and the record wins a tie: earlier versions wrote either
+    copy, whichever format they ran in.
     """
     for name in sorted(os.listdir(log.snapshot_dir)):
         if not name.endswith(SESSION_SUFFIX):
@@ -638,10 +643,11 @@ def _adopt_session_files(log: SegmentLog) -> None:
         if "app" not in meta or "segment" not in meta:
             raise ServingError("%s names no session in its meta" % path)
         key = SessionKey(str(meta["app"]), str(meta["segment"]))
-        if log.lookup(key.slug()) is None:
+        record = log.lookup(key.slug())
+        if record is None or checkpoint.rounds_done > record.rounds_done:
             skeleton, arrays = checkpoint_store.flatten_state(checkpoint.state)
             log.append(
-                *encode_record(
+                *_encode_record(
                     key, checkpoint.pricer_type, checkpoint.rounds_done, skeleton, arrays, meta
                 )
             )
@@ -856,10 +862,23 @@ class PricerRegistry:
     # Persistence
     # ------------------------------------------------------------------ #
 
-    def _encode(self, session: PricingSession) -> Tuple[SegmentRecord, bytes]:
+    def persist(self, session: PricingSession) -> bool:
+        """Snapshot one session to disk; returns whether anything was written.
+
+        The log compacts here when it is due: persists come from eviction,
+        write-behind and :meth:`flush`, never from a session move.
+        """
+        if self._segments is None:
+            return False
+        self._append(session)
+        self._segments.compact_if_due()
+        return True
+
+    def _append(self, session: PricingSession) -> Tuple[SegmentRecord, bytes]:
+        """Append one session's state to the log: ``(placed record, bytes)``."""
         key = session.key
         skeleton, arrays = checkpoint_store.flatten_state(session.pricer.state_dict())
-        return encode_record(
+        record, payload = _encode_record(
             key,
             type(session.pricer).__name__,
             session.rounds_seen,
@@ -867,15 +886,10 @@ class PricerRegistry:
             arrays,
             meta={"app": key.app, "segment": key.segment},
         )
-
-    def persist(self, session: PricingSession) -> bool:
-        """Snapshot one session to disk; returns whether anything was written."""
-        if self._segments is None:
-            return False
-        self._segments.append(*self._encode(session))
+        placed = self._segments.append(record, payload)
         session.updates_since_persist = 0
         self._stats.persists += 1
-        return True
+        return placed, payload
 
     def note_feedback(self, session: PricingSession, count: int = 1) -> None:
         """Record ``count`` applied feedback updates (write-behind cadence)."""
@@ -893,36 +907,39 @@ class PricerRegistry:
                 written += 1
         return written
 
-    def export_session(self, key: SessionKey) -> Optional[Tuple[SegmentRecord, bytes]]:
-        """Hand one session over as ``(record, payload)`` and forget it here.
-
-        The exit of a session move: a resident session must be quiesced (no
-        in-flight quotes) and is encoded straight from its pricer; a cold
-        one is its log record, read back with a file read.  Either way the
-        record is tombstoned and residency released without counting an
-        eviction.  ``None`` means the registry holds nothing for ``key``.
-        """
+    def _log(self, action: str, key: SessionKey) -> SegmentLog:
         if self._segments is None:
             raise ServingError(
-                "cannot export session %s without a snapshot_dir" % (key,)
+                "cannot %s session %s without a snapshot_dir" % (action, key)
             )
+        return self._segments
+
+    def export_session(self, key: SessionKey) -> Optional[Tuple[SegmentRecord, bytes]]:
+        """Hand one session over as ``(record, payload)``, keeping its record.
+
+        The exit of a session move: a resident session must be quiesced (no
+        in-flight quotes); it is persisted to the log and its residency
+        released without counting an eviction.  A cold session is its log
+        record, read back with a file read.  Either way the record stays in
+        the log until :meth:`retire_session`, so a move cut short before the
+        target holds the session loses nothing.  ``None`` means the registry
+        holds nothing for ``key``.
+        """
+        log = self._log("export", key)
         session = self.peek(key)
         if session is None:
-            record = self._segments.lookup(key.slug())
+            record = log.lookup(key.slug())
             if record is None:
                 return None
-            moved = record, read_segment_payload(self._segments.snapshot_dir, record)
-        elif session.pending:
+            return record, read_segment_payload(log.snapshot_dir, record)
+        if session.pending:
             raise ServingError(
                 "cannot export session %s with %d in-flight quote(s); quiesce "
                 "it first" % (key, len(session.pending))
             )
-        else:
-            moved = self._encode(session)
-        self._segments.tombstone(key.slug())
-        if session is not None:
-            self._drop(key)
-            self._stats.exports += 1
+        moved = self._append(session)
+        self._drop(key)
+        self._stats.exports += 1
         return moved
 
     def import_session(self, record: SegmentRecord, payload: bytes) -> None:
@@ -932,21 +949,25 @@ class PricerRegistry:
         change) and read back byte for byte before the import counts.
         """
         key = record.key()
-        if self._segments is None:
-            raise ServingError(
-                "cannot import session %s without a snapshot_dir" % (key,)
-            )
+        log = self._log("import", key)
         if key in self._index:
             raise ServingError(
                 "cannot import session %s over its resident copy" % (key,)
             )
-        placed = self._segments.append(record, payload)
-        if read_segment_payload(self._segments.snapshot_dir, placed) != payload:
-            self._segments.tombstone(record.slug)
+        placed = log.append(record, payload)
+        if read_segment_payload(log.snapshot_dir, placed) != payload:
+            log.tombstone(record.slug)
             raise ServingError(
                 "session %s did not read back byte-identically after its "
                 "import" % (key,)
             )
+
+    def retire_session(self, key: SessionKey) -> bool:
+        """Tombstone an exported session once another log holds it.
+
+        The last step of a move; returns whether a record was retired.
+        """
+        return self._log("retire", key).tombstone(key.slug())
 
     # ------------------------------------------------------------------ #
     # Eviction

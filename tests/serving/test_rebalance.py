@@ -33,6 +33,7 @@ from repro.serving import (
     SessionKey,
     ShardedRegistry,
     frame_sold_at,
+    list_segment_sessions,
     rebalance_live,
     shard_of_key,
     start_frontend_thread,
@@ -294,6 +295,47 @@ def test_commit_refuses_stranded_overrides(tmp_path):
         sharded.rehome_session(key, wrong)
         with pytest.raises(RebalanceError, match="hashes to"):
             sharded.commit_routing(3)
+
+
+def test_move_cut_short_before_import_keeps_the_session_on_its_source(
+    tmp_path, monkeypatch
+):
+    """A target that fails the import leaves the session's record in the
+    source's log: the move fails, the session stays routed to its source,
+    hydrates there and continues bit-identically."""
+    model, materialized, theta = _single_market()
+    offline = simulate(
+        model, golden_specs.build_pricer(FAMILY, theta), materialized=materialized
+    )
+    factory = lambda key: (model, golden_specs.build_pricer(FAMILY, theta))
+    key = SessionKey("app", "cut-short")
+    posted = []
+    real_roundtrip = ShardedRegistry._roundtrip
+
+    def refuse_import(self, handle, op, payload=None):
+        if op == "import_session":
+            raise ServingError("target refused the import (injected)")
+        return real_roundtrip(self, handle, op, payload)
+
+    with ShardedRegistry(
+        factory, num_shards=2, snapshot_dir=str(tmp_path), persist_every=1
+    ) as sharded:
+        _drive_sync(sharded, key, materialized, 0, 8, posted)
+        source = sharded.shard_of(key)
+        monkeypatch.setattr(ShardedRegistry, "_roundtrip", refuse_import)
+        with pytest.raises(RebalanceError, match="injected"):
+            sharded.rehome_session(key, 1 - source)
+        monkeypatch.setattr(ShardedRegistry, "_roundtrip", real_roundtrip)
+        assert sharded.shard_of(key) == source
+        source_dir = os.path.join(str(tmp_path), "shard-%02d" % source)
+        target_dir = os.path.join(str(tmp_path), "shard-%02d" % (1 - source))
+        assert key in list_segment_sessions(source_dir)
+        assert key not in list_segment_sessions(target_dir)
+        _drive_sync(sharded, key, materialized, 8, 16, posted)
+        assert sharded.stats()["registry"]["hydrations"] == 1
+    assert np.array_equal(
+        np.array(posted), offline.transcript.posted_prices[:16], equal_nan=True
+    )
 
 
 # --------------------------------------------------------------------------- #

@@ -191,43 +191,48 @@ def test_segment_thrashing_transcript_matches_offline(tmp_path):
 
 def test_session_files_of_earlier_versions_move_into_the_log_at_open(tmp_path):
     """Opening a directory turns each ``.session.npz`` into a segment record
-    and deletes the file; a record the log already holds is newer and wins."""
+    and deletes the file; where the log holds a record too, the copy that
+    has priced more rounds wins, whichever of the two it is."""
     family = "ellipsoid-reserve"
     model, materialized, theta = _market(family)
     key_old = SessionKey("app", "from-file")
-    key_both = SessionKey("app", "file-and-record")
+    key_record_newer = SessionKey("app", "record-newer")
+    key_file_newer = SessionKey("app", "file-newer")
 
     store = PricerRegistry(_factory(family, model, theta), snapshot_dir=str(tmp_path))
     service = QuoteService(store)
-    _drive(service, key_both, materialized, 0, 16)
-    expected_both = store.session(key_both).pricer.state_dict()
+    _drive(service, key_record_newer, materialized, 0, 16)
+    _drive(service, key_file_newer, materialized, 0, 4)
+    expected = {key_record_newer: store.session(key_record_newer).pricer.state_dict()}
     store.flush()
     store.close()
 
-    # Files of an earlier version: key_old's only copy, and a stale older
-    # state of key_both beside its newer record.
+    # Files of an earlier version: key_old's only copy, an older state of
+    # key_record_newer, and a newer state of key_file_newer than its record.
     writer = PricerRegistry(_factory(family, model, theta))
-    _drive(QuoteService(writer), key_old, materialized, 0, 12)
-    _drive(QuoteService(writer), key_both, materialized, 0, 4)
-    expected_old = writer.session(key_old).pricer.state_dict()
-    _write_session_file(str(tmp_path), key_old, writer.session(key_old).pricer)
-    _write_session_file(str(tmp_path), key_both, writer.session(key_both).pricer)
+    for key, stop in ((key_old, 12), (key_record_newer, 4), (key_file_newer, 16)):
+        _drive(QuoteService(writer), key, materialized, 0, stop)
+        _write_session_file(str(tmp_path), key, writer.session(key).pricer)
+    expected[key_old] = writer.session(key_old).pricer.state_dict()
+    expected[key_file_newer] = writer.session(key_file_newer).pricer.state_dict()
 
     store = PricerRegistry(_factory(family, model, theta), snapshot_dir=str(tmp_path))
     assert not [n for n in os.listdir(str(tmp_path)) if n.endswith(SESSION_SUFFIX)]
-    assert set(list_segment_sessions(str(tmp_path))) == {key_old, key_both}
-    for key, expected in ((key_old, expected_old), (key_both, expected_both)):
+    assert set(list_segment_sessions(str(tmp_path))) == set(expected)
+    for key, state in expected.items():
         session = store.session(key)
         assert session.hydrated
-        assert state_equal(session.pricer.state_dict(), expected)
-    assert store.stats.zero_copy_hydrations == 2
+        assert state_equal(session.pricer.state_dict(), state)
+    assert store.stats.zero_copy_hydrations == 3
     assert store.stats.legacy_hydrations == 0
     store.close()
 
 
 def test_export_import_moves_resident_and_cold_sessions(tmp_path):
     """A session leaves one log as ``(record, payload)`` — resident or cold —
-    and enters another verbatim, hydrating there bit-identically."""
+    and enters another verbatim, hydrating there bit-identically.  The
+    source keeps its record until the move retires it, so a move cut short
+    after the export leaves the session hydrating on a restarted source."""
     family = "ellipsoid-reserve"
     model, materialized, theta = _market(family)
     source_dir, target_dir = str(tmp_path / "source"), str(tmp_path / "target")
@@ -246,13 +251,19 @@ def test_export_import_moves_resident_and_cold_sessions(tmp_path):
         record, payload = source.export_session(key)
         assert record.key() == key and len(payload) == record.length
         assert key not in source
-        assert key not in list_segment_sessions(source_dir)
+        assert list_segment_sessions(source_dir)[key] == record
+        restarted = PricerRegistry(_factory(family, model, theta), snapshot_dir=source_dir)
+        assert restarted.session(key).hydrated
+        assert state_equal(restarted.session(key).pricer.state_dict(), expected[key])
+        restarted.close()
         target.import_session(record, payload)
         placed = list_segment_sessions(target_dir)[key]
         assert (placed.pricer_type, placed.rounds_done) == (
             record.pricer_type,
             record.rounds_done,
         )
+        assert source.retire_session(key)
+        assert key not in list_segment_sessions(source_dir)
         session = target.session(key)
         assert session.hydrated
         assert state_equal(session.pricer.state_dict(), expected[key])
