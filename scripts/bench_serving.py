@@ -43,9 +43,9 @@ Six measurement modes, all written into one ``BENCH_serving.json``:
   distinct sessions (≥ 100k in the committed run) against a residency bound
   of ``--zipf-max-sessions``, so the tail of the distribution thrashes
   through persist → clock-evict → hydrate continuously.  Reports
-  hydration-storm latency percentiles, resident-memory bytes (and
-  bytes/session — the CI regression gate), the zero-copy hydration count,
-  and an eviction-cost curve across resident set sizes:
+  resident-memory bytes (and bytes/session — the CI regression gate), the
+  zero-copy hydration count, and an eviction-cost curve across resident
+  set sizes:
   clock-hand steps per eviction must stay flat as the resident set grows —
   the O(1) replacement for the old O(n) LRU scan.
 
@@ -672,10 +672,9 @@ def run_zipf_popularity(args, environment, materialized):
     Zipf(``--zipf-a``) law, residency capped at ``--zipf-max-sessions`` —
     the popular head stays resident while the long tail cycles through
     persist → clock-evict → hydrate on every touch (a hydration storm).
-    The numbers that matter:
+    The numbers that matter (a store miss's latency is perfbench's
+    ``store.session.p99_us`` on ``serve_zipf_churn``):
 
-    * hydration latency percentiles (per-hydration wall clock, straight
-      from the store's instrumentation) — the mmap segment read path;
     * ``resident_bytes`` / ``bytes_per_session`` — memory stays bounded by
       the residency cap, not the session universe (the CI gate compares
       bytes/session against the pricer family's state-array bytes);
@@ -726,7 +725,6 @@ def run_zipf_popularity(args, environment, materialized):
             )
         wall_seconds = time.perf_counter() - start
         stats = registry.stats.as_dict()
-        hydration = LatencySummary.from_seconds(registry.hydration_seconds)
         resident = registry.resident_count
         served = service.stats.quotes_served
         settled = service.stats.feedback_applied
@@ -743,9 +741,6 @@ def run_zipf_popularity(args, environment, materialized):
             else float("inf"),
             "lost_quotes": events - settled,
             "hit_rate": round(1.0 - stats["opened"] / max(events, 1), 4),
-            "hydration_ms": {
-                name: round(value, 6) for name, value in hydration.as_dict().items()
-            },
             "resident_sessions": resident,
             "steps_per_eviction": round(
                 stats["clock_hand_steps"] / max(stats["evictions"], 1), 3
@@ -764,14 +759,12 @@ def run_zipf_popularity(args, environment, materialized):
 
     main_point = run_point(args.zipf_max_sessions, draws)
     print(
-        "  %d events in %.2fs -> %.0f events/sec   hydration p50 %.4f ms  "
-        "p99 %.4f ms   %.1f bytes/session resident   %.2f clock steps/eviction"
+        "  %d events in %.2fs -> %.0f events/sec   "
+        "%.1f bytes/session resident   %.2f clock steps/eviction"
         % (
             main_point["events"],
             main_point["wall_seconds"],
             main_point["events_per_second"],
-            main_point["hydration_ms"]["p50_ms"],
-            main_point["hydration_ms"]["p99_ms"],
             main_point["bytes_per_session"],
             main_point["steps_per_eviction"],
         )

@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -100,15 +101,20 @@ def cut_position(ellipsoid: Ellipsoid, direction, offset: float, keep: str) -> f
         )
     if keep not in ("leq", "geq"):
         raise ValueError("keep must be 'leq' or 'geq', got %r" % keep)
-    return _position(ellipsoid, direction, offset, keep, math.sqrt(gain))
+    return _position(ellipsoid, direction, offset, _sign(keep), math.sqrt(gain))
+
+
+def _sign(keep: str) -> float:
+    """``+1.0`` for ``keep='leq'`` (the rejection branch), ``-1.0`` for ``'geq'``."""
+    return 1.0 if keep == "leq" else -1.0
 
 
 def _position(
-    ellipsoid: Ellipsoid, direction: np.ndarray, offset: float, keep: str, root: float
+    ellipsoid: Ellipsoid, direction: np.ndarray, offset: float, sign: float, root: float
 ) -> float:
     """:func:`cut_position` on checked inputs, with ``root = sqrt(x^T A x)``."""
     signed = (float(direction @ ellipsoid.center) - offset) / root
-    return signed if keep == "leq" else -signed
+    return signed if sign > 0.0 else -signed
 
 
 def loewner_john_cut(
@@ -145,10 +151,9 @@ def loewner_john_cut(
         The updated ellipsoid together with the cut's position parameter and
         classification.
 
-    The inputs are validated once, here; ``x^T A x`` is computed once and
-    shared by the position parameter and the boundary vector, through the
-    unchecked kernels behind :func:`cut_position` and
-    :meth:`Ellipsoid.boundary_vector`.
+    The inputs are validated once, here, and the cut is the unchecked kernel
+    :func:`_cut`; only the outcomes it leaves unchanged (a degenerate
+    direction, ``α > 1``) depend on ``on_infeasible``.
     """
     dimension = ellipsoid.dimension
     direction = ensure_vector(direction, dimension=dimension, name="direction")
@@ -160,40 +165,66 @@ def loewner_john_cut(
         raise ValueError("on_infeasible must be 'raise', 'skip', or 'clamp', got %r" % on_infeasible)
     if keep not in ("leq", "geq"):
         raise ValueError("keep must be 'leq' or 'geq', got %r" % keep)
-    gain = ellipsoid._gain(direction)
-    if not gain >= _DEGENERATE_GAIN:
-        # Degenerate direction: zero, denormal, or NaN support width.  The
-        # ellipsoid carries no information along such a direction, so in the
-        # non-raising modes the cut is a no-op rather than a division by ~0
-        # that would emit NaN cut parameters.
-        if on_infeasible == "raise":
-            raise InvalidCutError(
-                "cut direction has a degenerate support width (x^T A x = %g)" % gain
-            )
-        return CutResult(
-            ellipsoid=ellipsoid, alpha=float("nan"), kind=CutKind.NOOP, updated=False
-        )
     offset = ensure_finite_scalar(offset, name="offset")
-    root = math.sqrt(gain)
-    alpha = _position(ellipsoid, direction, offset, keep, root)
-
-    if alpha > 1.0 + _ALPHA_TOLERANCE:
-        if on_infeasible == "raise":
+    sign = _sign(keep)
+    alpha, updated = _cut(ellipsoid, direction, offset, sign)
+    if updated is not None:
+        return CutResult(
+            ellipsoid=updated, alpha=alpha, kind=classify_alpha(alpha, dimension), updated=True
+        )
+    # The kernel left the ellipsoid as it is: a degenerate direction (alpha
+    # is NaN), alpha > 1, or alpha < -1/n, a no-op in every mode.
+    if on_infeasible == "raise":
+        if math.isnan(alpha):
+            raise InvalidCutError(
+                "cut direction has a degenerate support width (x^T A x = %g)"
+                % ellipsoid._gain(direction)
+            )
+        if alpha > 1.0:
             raise InvalidCutError(
                 "cut with alpha=%.6g > 1 would leave an empty region" % alpha
             )
-        if on_infeasible == "skip":
-            return CutResult(ellipsoid=ellipsoid, alpha=alpha, kind=CutKind.NOOP, updated=False)
-        alpha = 1.0
+    elif on_infeasible == "clamp" and alpha > 1.0:
+        boundary = ellipsoid._boundary(direction, math.sqrt(ellipsoid._gain(direction)))
+        collapsed = _apply_cut_formulas(ellipsoid, boundary, 1.0, sign)
+        return CutResult(ellipsoid=collapsed, alpha=1.0, kind=CutKind.DEEP, updated=True)
+    return CutResult(ellipsoid=ellipsoid, alpha=alpha, kind=CutKind.NOOP, updated=False)
 
-    kind = classify_alpha(alpha, dimension)
-    if kind is CutKind.NOOP:
-        return CutResult(ellipsoid=ellipsoid, alpha=alpha, kind=kind, updated=False)
 
-    sign = 1.0 if keep == "leq" else -1.0
+def _cut(
+    ellipsoid: Ellipsoid, direction: np.ndarray, offset: float, sign: float
+) -> Tuple[float, Optional[Ellipsoid]]:
+    """The Löwner–John cut on checked inputs, in :func:`loewner_john_cut`'s
+    ``'skip'`` mode.
+
+    ``direction`` is a finite length-``n`` float vector, ``offset`` a finite
+    float and ``sign`` ``+1.0`` to keep ``{x^T θ <= offset}`` or ``-1.0`` to
+    keep ``{x^T θ >= offset}``.  Returns the position parameter and the cut
+    ellipsoid, or ``None`` in its place when the cut leaves the ellipsoid as
+    it is: a degenerate direction (``α`` is then NaN), an empty kept region
+    (``α > 1``) or a cut below ``-1/n``.  ``x^T A x`` is computed once and
+    shared by ``α`` and the boundary vector.
+    """
+    gain = ellipsoid._gain(direction)
+    if not gain >= _DEGENERATE_GAIN:
+        # Degenerate direction: zero, denormal, or NaN support width.  The
+        # ellipsoid carries no information along such a direction, so the cut
+        # is a no-op rather than a division by ~0 that would emit NaN cut
+        # parameters.
+        return math.nan, None
+    root = math.sqrt(gain)
+    alpha = _position(ellipsoid, direction, offset, sign, root)
+    if alpha > 1.0 + _ALPHA_TOLERANCE:
+        return alpha, None
+    if alpha < -1.0 / ellipsoid.dimension - _ALPHA_TOLERANCE:
+        return alpha, None  # classify_alpha's NOOP: the kept region holds E
     boundary = ellipsoid._boundary(direction, root)
-    updated = _apply_cut_formulas(ellipsoid, boundary, alpha, sign)
-    return CutResult(ellipsoid=updated, alpha=alpha, kind=kind, updated=True)
+    return alpha, _apply_cut_formulas(ellipsoid, boundary, alpha, sign)
+
+
+#: Largest magnitude on the new shape's diagonal for which the in-place
+#: update keeps the shape it computed (see :func:`_apply_cut_formulas`).
+_SYMMETRIC_DIAGONAL_LIMIT = float(np.finfo(float).max) / 4.0
 
 
 def _apply_cut_formulas(
@@ -204,7 +235,7 @@ def _apply_cut_formulas(
     ``sign=+1`` corresponds to keeping ``{x^T θ <= offset}`` (the paper's
     rejection branch, Lines 16–17); ``sign=-1`` to keeping ``{x^T θ >= offset}``
     (the acceptance branch, Line 21), which is the mirrored formula.  The new
-    shape is symmetric by construction, so the result is wrapped unchecked.
+    shape is exactly symmetric, so the result is wrapped unchecked.
     """
     dimension = ellipsoid.dimension
     if alpha >= 1.0 - _ALPHA_TOLERANCE:
@@ -220,10 +251,26 @@ def _apply_cut_formulas(
 
     scale = dimension**2 * (1.0 - alpha**2) / (dimension**2 - 1.0)
     rank_one_coefficient = 2.0 * (1.0 + dimension * alpha) / ((dimension + 1.0) * (1.0 + alpha))
-    new_shape = scale * (ellipsoid.shape - rank_one_coefficient * np.outer(boundary, boundary))
+    # scale * (A - coefficient * b b^T) in one new n x n buffer, with the IEEE
+    # operations of that expression on every element: b_i * b_j, times the
+    # coefficient, subtracted from A_ij, times the scale.
+    new_shape = np.multiply.outer(boundary, boundary)
+    new_shape *= rank_one_coefficient
+    np.subtract(ellipsoid.shape, new_shape, out=new_shape)
+    new_shape *= scale
     new_center = ellipsoid.center - sign * ((1.0 + dimension * alpha) / (dimension + 1.0)) * boundary
-    # 0.5 * (S + S^T) is exactly symmetric: both triangles add the same pair.
-    new_shape = 0.5 * (new_shape + new_shape.T)
+    # The new shape is exactly symmetric without re-symmetrising: the input
+    # shape is (every Ellipsoid holds A_ij == A_ji bit for bit) and
+    # b_i * b_j == b_j * b_i in IEEE arithmetic, so both triangles compute
+    # the same floats.  0.5 * (S + S^T), which ended this update before, is
+    # then 0.5 * (2 S_ij): S_ij again, since doubling and halving are exact,
+    # unless 2 S_ij overflows to inf.  No entry of a positive semidefinite
+    # matrix exceeds its largest diagonal entry in magnitude, so an O(n)
+    # check on the diagonal, with a factor of two to spare for rounding,
+    # routes every shape whose doubling could overflow (and a NaN diagonal)
+    # to the old expression, which keeps its infs.
+    if not np.abs(new_shape.diagonal()).max() < _SYMMETRIC_DIAGONAL_LIMIT:
+        new_shape = 0.5 * (new_shape + new_shape.T)
     return Ellipsoid.trusted(new_center, new_shape)
 
 

@@ -21,7 +21,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.cuts import loewner_john_cut
+from repro.core.cuts import _cut, loewner_john_cut
 from repro.core.ellipsoid import Ellipsoid
 from repro.exceptions import DimensionMismatchError
 from repro.utils.validation import ensure_finite_scalar, ensure_square_matrix, ensure_vector
@@ -205,6 +205,17 @@ class EllipsoidKnowledge(KnowledgeSet):
             self.ellipsoid = result.ellipsoid
             self.cut_count += 1
         return result.updated
+
+    def _cut(self, direction: np.ndarray, offset: float, sign: float) -> bool:
+        """:meth:`cut` in its default ``'skip'`` mode, for a finite length-n
+        float ``direction`` and a finite ``offset`` its caller has checked;
+        ``sign`` is ``+1.0`` for ``keep='leq'`` and ``-1.0`` for ``'geq'``."""
+        updated = _cut(self.ellipsoid, direction, offset, sign)[1]
+        if updated is None:
+            return False
+        self.ellipsoid = updated
+        self.cut_count += 1
+        return True
 
     def contains(self, theta) -> bool:
         return self.ellipsoid.contains(theta)

@@ -241,15 +241,17 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
         The ellipsoid changes only on applied cuts, so between two of them a
         block of rounds is decided in array passes: support intervals
         (:meth:`Ellipsoid.support_intervals`, which round like the scalar
-        products of :meth:`propose`), skip and exploratory flags, prices and
-        sales.  The first cut candidate that changes the ellipsoid goes
-        through the scalar :meth:`EllipsoidKnowledge.cut`; the block is
-        committed up to it and the walk restarts after it.  Every expression
-        is that of :meth:`propose`/:meth:`update` (Python's ``max(a, b)`` is
-        ``np.where(b > a, b, a)``, signed zeros included), so transcripts and
-        counters are bit-identical to the sequential loop.  After a cut the
-        next block is twice the rows since the previous cut; it doubles over
-        cut-free blocks up to :attr:`_BLOCK_MAX`.
+        products of :meth:`propose`), skip and exploratory flags and prices.
+        The first cut candidate that changes the ellipsoid goes through the
+        unchecked :meth:`EllipsoidKnowledge._cut` (the features were checked
+        once, here); the block's rows up to it are copied into horizon-length
+        columns and the walk restarts after it.  Posted prices, sales and the
+        counters are computed once, over the whole horizon, at the end.
+        Every expression is that of :meth:`propose`/:meth:`update` (Python's
+        ``max(a, b)`` is ``np.where(b > a, b, a)``, signed zeros included),
+        so transcripts and counters are bit-identical to the sequential loop.
+        After a cut the next block is twice the rows since the previous cut;
+        it doubles over cut-free blocks up to :attr:`_BLOCK_MAX`.
 
         Polytope knowledge returns ``False``: the engine's loop then drives
         :meth:`propose`/:meth:`update`.  So does a market with non-finite
@@ -279,7 +281,11 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
         else:
             effective_reserves = np.full(rounds, _NEGATIVE_INFINITY)
 
-        skipped_rounds = exploratory_rounds = cuts_applied = 0
+        # The committed decisions; the flags go straight to the transcript.
+        prices = np.empty(rounds)
+        skipped = transcript.skipped
+        exploratory = transcript.exploratory
+        cuts_applied = 0
         start = previous_cut = 0
         block_size = 1
         while start < rounds:
@@ -287,44 +293,48 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
             block = features[start:stop]
             lower, upper = knowledge.ellipsoid.support_intervals(block)
             reserve = effective_reserves[start:stop]
-            skipped = reserve >= upper + delta
-            active = ~skipped
+            block_skipped = reserve >= upper + delta
+            active = ~block_skipped
             width = upper - lower
-            exploratory = active & (width > epsilon)
-            anchor = np.where(exploratory, 0.5 * (lower + upper), lower - delta)
+            block_exploratory = active & (width > epsilon)
+            anchor = np.where(block_exploratory, 0.5 * (lower + upper), lower - delta)
             price = np.where(anchor > reserve, anchor, reserve)
-            candidates = active & (width > 1e-12)
-            if not allow_conservative_cuts:
-                candidates &= exploratory
+            # Conservative rounds cut only in the ablation; exploratory rounds
+            # are active ones, so either way a candidate is an active round.
+            candidates = (active if allow_conservative_cuts else block_exploratory) & (width > 1e-12)
 
             limit = stop - start
             block_size = min(2 * block_size, self._BLOCK_MAX)
-            for index in np.flatnonzero(candidates):
-                posted = price[index] if identity_link else model.link(float(price[index]))
+            for index in candidates.nonzero()[0]:
+                link_price = float(price[index])
+                posted = link_price if identity_link else model.link(link_price)
                 if posted <= market_values[start + index]:
-                    changed = knowledge.cut(block[index], price[index] - delta, keep="geq")
+                    offset, sign = link_price - delta, -1.0  # keep 'geq'
                 else:
-                    changed = knowledge.cut(block[index], price[index] + delta, keep="leq")
-                if changed:
+                    offset, sign = link_price + delta, 1.0  # keep 'leq'
+                # The features were checked once, above; the offset is checked
+                # here, as update's cut checks it.
+                offset = ensure_finite_scalar(offset, name="offset")
+                if knowledge._cut(block[index], offset, sign):
                     cuts_applied += 1
                     limit = index + 1
                     block_size = min(2 * (start + limit - previous_cut), self._BLOCK_MAX)
                     previous_cut = start + limit
                     break
 
-            segment = slice(start, start + limit)
-            live = active[:limit]
-            price = price[:limit]
-            posted = price if identity_link else model.link_batch(np.where(live, price, np.nan))
-            transcript.link_prices[segment][live] = price[live]
-            transcript.posted_prices[segment][live] = posted[live]
-            transcript.sold[segment] = live & (posted <= market_values[segment])
-            transcript.skipped[segment] = skipped[:limit]
-            transcript.exploratory[segment] = exploratory[:limit]
-            skipped_rounds += int(np.count_nonzero(skipped[:limit]))
-            exploratory_rounds += int(np.count_nonzero(exploratory[:limit]))
-            start += limit
+            end = start + limit
+            prices[start:end] = price[:limit]
+            skipped[start:end] = block_skipped[:limit]
+            exploratory[start:end] = block_exploratory[:limit]
+            start = end
 
+        live = ~skipped
+        posted = prices if identity_link else model.link_batch(np.where(live, prices, np.nan))
+        np.copyto(transcript.link_prices, prices, where=live)
+        np.copyto(transcript.posted_prices, posted, where=live)
+        np.logical_and(live, posted <= market_values, out=transcript.sold)
+        skipped_rounds = int(np.count_nonzero(skipped))
+        exploratory_rounds = int(np.count_nonzero(exploratory))
         self.skipped_rounds += skipped_rounds
         self.exploratory_rounds += exploratory_rounds
         self.conservative_rounds += rounds - skipped_rounds - exploratory_rounds

@@ -43,7 +43,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -756,9 +755,6 @@ class PricerRegistry:
             self._segments = SegmentLog(snapshot_dir, segment_max_bytes)
             _adopt_session_files(self._segments)
         self._stats = RegistryStats()
-        #: Wall-clock seconds of each hydration (bench introspection: the
-        #: Zipf sweep reads storm percentiles from here).
-        self.hydration_seconds: List[float] = []
 
     @property
     def stats(self) -> RegistryStats:
@@ -802,13 +798,11 @@ class PricerRegistry:
                     "segment record of session %s was taken from %r, cannot "
                     "restore into %r" % (key, record.pricer_type, type(pricer).__name__)
                 )
-            started = time.perf_counter()
             views = self._segments.read_arrays(record)
             pricer.load_state(checkpoint_store.unflatten_state(record.skeleton, views))
             session.hydrated = True
             stats.hydrations += 1
             stats.zero_copy_hydrations += 1
-            self.hydration_seconds.append(time.perf_counter() - started)
         self._admit(session)
         self._enforce_capacity(protect=key)
         return session

@@ -13,6 +13,7 @@ from repro.core.cuts import (
     volume_ratio_upper_bound,
 )
 from repro.core.ellipsoid import Ellipsoid, random_ellipsoid
+from repro.core.knowledge import EllipsoidKnowledge
 from repro.exceptions import InvalidCutError
 
 
@@ -264,3 +265,126 @@ class TestDegenerateDirectionProperties:
                 assert result.ellipsoid is ellipsoid
 
         check()
+
+
+# --------------------------------------------------------------------------- #
+# The in-place update against the six-pass formula it replaced
+# --------------------------------------------------------------------------- #
+
+
+def _oracle_cut(ellipsoid, direction, offset, keep):
+    """The skip-mode cut as it was computed before the in-place update:
+    ``scale * (A - c * outer(b, b))`` as separate n x n temporaries, then
+    re-symmetrised with ``0.5 * (S + S^T)``.  ``x^T A x`` and ``A x`` are
+    separate products, as in the kernel: the transposed product inside
+    ``x^T A x`` rounds differently from ``A x``.  Returns ``(center, shape)``,
+    or ``None`` when the cut leaves the ellipsoid unchanged."""
+    dimension = ellipsoid.dimension
+    gain = float(direction @ ellipsoid.shape @ direction)
+    if not gain >= np.finfo(float).tiny:
+        return None
+    root = math.sqrt(gain)
+    signed = (float(direction @ ellipsoid.center) - offset) / root
+    alpha = signed if keep == "leq" else -signed
+    if alpha > 1.0 + 1e-12 or alpha < -1.0 / dimension - 1e-12:
+        return None
+    sign = 1.0 if keep == "leq" else -1.0
+    boundary = (ellipsoid.shape @ direction) / root
+    if alpha >= 1.0 - 1e-12:
+        tiny = 1e-18 * np.trace(ellipsoid.shape) / dimension
+        return ellipsoid.center - sign * boundary, tiny * np.eye(dimension)
+    scale = dimension**2 * (1.0 - alpha**2) / (dimension**2 - 1.0)
+    coefficient = 2.0 * (1.0 + dimension * alpha) / ((dimension + 1.0) * (1.0 + alpha))
+    shape = scale * (ellipsoid.shape - coefficient * np.outer(boundary, boundary))
+    center = ellipsoid.center - sign * ((1.0 + dimension * alpha) / (dimension + 1.0)) * boundary
+    return center, 0.5 * (shape + shape.T)
+
+
+def _random_shape(rng, dimension, scale=1.0):
+    """An exactly symmetric positive definite shape with diagonal ~``scale``."""
+    raw = rng.standard_normal((dimension, dimension))
+    shape = raw @ raw.T / dimension + 0.1 * np.eye(dimension)
+    shape /= np.sqrt(np.outer(np.diag(shape), np.diag(shape)))
+    return scale * (0.5 * (shape + shape.T))
+
+
+#: Target position parameters of each kind of cut, cycled through a chain.
+_KINDS = {
+    "central": lambda rng, n: 0.0,
+    "deep": lambda rng, n: rng.uniform(0.02, 0.98),
+    "shallow": lambda rng, n: -rng.uniform(0.02, 0.98) / n,
+    "collapse-below-1": lambda rng, n: 1.0 - 5e-13,
+    "collapse-above-1": lambda rng, n: 1.0 + 5e-13,
+}
+_CYCLE = ["central", "deep", "shallow", "deep", "shallow", "central", "deep", "shallow"]
+
+
+def _offset_for(ellipsoid, direction, keep, alpha):
+    """The offset that puts the cut's position parameter at about ``alpha``."""
+    root = math.sqrt(float(direction @ ellipsoid.shape @ direction))
+    middle = float(direction @ ellipsoid.center)
+    return middle - alpha * root if keep == "leq" else middle + alpha * root
+
+
+def _assert_same_bits(result, oracle):
+    assert result.updated, "the oracle cut, the kernel did not"
+    for mine, theirs in ((result.ellipsoid.center, oracle[0]), (result.ellipsoid.shape, oracle[1])):
+        assert mine.shape == theirs.shape and mine.flags.c_contiguous
+        assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64))
+
+
+@pytest.mark.parametrize("dimension,cuts", [(2, 300), (3, 300), (20, 300), (128, 90), (1024, 12)])
+def test_the_kernel_matches_the_six_pass_formula_bit_for_bit(dimension, cuts):
+    """Chains of central, deep and shallow cuts, each chain ending in a cut
+    within the collapse tolerance of alpha = 1, through ``loewner_john_cut``
+    and ``EllipsoidKnowledge._cut`` alike: the same center and shape bytes
+    as the formula the in-place kernel replaced."""
+    rng = np.random.default_rng(1000 + dimension)
+    chain = min(len(_CYCLE), max(4, cuts // 30))
+    done = 0
+    kinds_seen = set()
+    while done < cuts:
+        ellipsoid = Ellipsoid.trusted(rng.standard_normal(dimension), _random_shape(rng, dimension))
+        knowledge = EllipsoidKnowledge(ellipsoid)
+        kinds = _CYCLE[: chain - 1] + [("collapse-below-1", "collapse-above-1")[done % 2]]
+        for kind in kinds:
+            direction = rng.standard_normal(dimension)
+            if done % 3 == 0:
+                direction[rng.random(dimension) < 0.5] = 0.0  # sparse rows
+            direction[rng.integers(dimension)] = 1.0
+            keep = "leq" if rng.random() < 0.5 else "geq"
+            offset = _offset_for(ellipsoid, direction, keep, _KINDS[kind](rng, dimension))
+            oracle = _oracle_cut(ellipsoid, direction, offset, keep)
+            assert oracle is not None
+            result = loewner_john_cut(ellipsoid, direction, offset, keep, on_infeasible="skip")
+            _assert_same_bits(result, oracle)
+            assert knowledge._cut(direction, offset, 1.0 if keep == "leq" else -1.0)
+            assert knowledge.ellipsoid == result.ellipsoid
+            kinds_seen.add(result.kind)
+            ellipsoid = result.ellipsoid
+            done += 1
+    assert kinds_seen == {CutKind.CENTRAL, CutKind.DEEP, CutKind.SHALLOW}
+
+
+@pytest.mark.parametrize("dimension", [2, 3, 20])
+def test_the_kernel_keeps_the_old_infs_where_doubling_overflows(dimension):
+    """A shape whose new diagonal exceeds DBL_MAX / 2: 0.5 * (S + S^T)
+    overflowed to inf there, and the kernel's O(n) diagonal check routes the
+    shape to that expression, so the bits (infs included) are unchanged."""
+    rng = np.random.default_rng(2000 + dimension)
+    overflowed = 0
+    for _ in range(12):
+        ellipsoid = Ellipsoid.trusted(
+            rng.standard_normal(dimension), _random_shape(rng, dimension, scale=1.2e308)
+        )
+        direction = 0.1 * rng.standard_normal(dimension)
+        keep = "leq" if rng.random() < 0.5 else "geq"
+        alpha = _KINDS["shallow"](rng, dimension)
+        offset = _offset_for(ellipsoid, direction, keep, alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            oracle = _oracle_cut(ellipsoid, direction, offset, keep)
+            result = loewner_john_cut(ellipsoid, direction, offset, keep, on_infeasible="skip")
+        assert np.abs(np.diag(result.ellipsoid.shape)).max() > np.finfo(float).max / 2
+        _assert_same_bits(result, oracle)
+        overflowed += bool(np.isinf(oracle[1]).any())
+    assert overflowed == 12

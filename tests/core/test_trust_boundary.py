@@ -1,11 +1,14 @@
 """Where pricing inputs are checked: once per quote, at the public entry points.
 
 ``EllipsoidPricer.propose`` validates its features once and then prices
-through unchecked kernels (``KnowledgeSet._bounds``, ``Ellipsoid._support``),
-and a fresh pricer wraps its initial ball without re-proving it positive
-definite.  These tests pin the single check, that every entry point which
-checked its input still rejects bad input, and that ``Ellipsoid.ball``
-returns the same bits or raises the same error as the checked construction.
+through unchecked kernels (``KnowledgeSet._bounds``, ``Ellipsoid._support``);
+``update`` checks its cut direction once, in ``loewner_john_cut``; the
+engine's block walk checks the whole feature matrix once and cuts through
+``EllipsoidKnowledge._cut``; and a fresh pricer wraps its initial ball
+without re-proving it positive definite.  These tests pin those counts,
+that every entry point which checked its input still rejects bad input,
+and that ``Ellipsoid.ball`` returns the same bits or raises the same error
+as the checked construction.
 """
 
 import math
@@ -14,14 +17,17 @@ import warnings
 import numpy as np
 import pytest
 
+import repro.core.cuts as cuts_module
 import repro.core.ellipsoid as ellipsoid_module
 import repro.core.knowledge as knowledge_module
 import repro.core.pricing as pricing_module
+from repro.core.base import PricingDecision
 from repro.core.cuts import loewner_john_cut
 from repro.core.ellipsoid import Ellipsoid
 from repro.core.knowledge import EllipsoidKnowledge
 from repro.core.models import LinearModel
 from repro.core.pricing import EllipsoidPricer, PricerConfig
+from repro.engine import ArrivalBatch, simulate
 from repro.exceptions import DimensionMismatchError, NotPositiveDefiniteError, ServingError
 from repro.serving import PricerRegistry, QuoteRequest, QuoteService, SessionKey
 
@@ -42,9 +48,10 @@ def _pricer(knowledge="ellipsoid"):
 
 def _count_validations(monkeypatch):
     """Record each ``ensure_vector`` call made through the modules a quote
-    passes: the pricer, its knowledge set and the ellipsoid."""
+    and its feedback pass: the pricer, its knowledge set, the ellipsoid and
+    the cut."""
     calls = []
-    for module in (pricing_module, knowledge_module, ellipsoid_module):
+    for module in (pricing_module, knowledge_module, ellipsoid_module, cuts_module):
         original = module.ensure_vector
 
         def counted(*args, _original=original, _module=module.__name__, **kwargs):
@@ -79,6 +86,46 @@ def test_value_bounds_validates_once_and_agrees_with_propose(monkeypatch):
     assert (decision.lower_bound, decision.upper_bound) == bounds
 
 
+def test_an_update_that_cuts_validates_its_direction_once(monkeypatch):
+    pricer = _pricer()
+    decision = pricer.propose(np.array([0.3, 0.1, 0.5, 0.2]))
+    assert decision.exploratory
+    calls = _count_validations(monkeypatch)
+    pricer.update(decision, accepted=False)
+    assert pricer.cuts_applied == 1
+    assert calls == ["repro.core.cuts"]
+
+
+def test_the_engine_makes_no_per_cut_validation(monkeypatch):
+    """``run_batch`` checks the feature matrix once and cuts through the
+    unchecked ``EllipsoidKnowledge._cut``: no ``ensure_vector`` per cut."""
+    rng = np.random.default_rng(5)
+    features = np.abs(rng.standard_normal((400, DIMENSION)))
+    theta = np.full(DIMENSION, 0.4)
+    model = LinearModel(theta)
+    batch = ArrivalBatch(features, 0.5 * (features @ theta), np.zeros(400))
+    pricer = _pricer()
+    calls = _count_validations(monkeypatch)
+    simulate(model, pricer, arrivals=batch)
+    assert pricer.cuts_applied > 10
+    assert calls == []
+
+
+def _exploratory_decision(features):
+    """A decision as ``propose`` would hand back for an exploratory round,
+    built by hand so that it can carry bad features into ``update``."""
+    return PricingDecision(
+        features=features,
+        reserve=None,
+        lower_bound=-1.0,
+        upper_bound=1.0,
+        price=0.0,
+        exploratory=True,
+        skipped=False,
+        round_index=0,
+    )
+
+
 def _knowledge_state(center, shape):
     return {"kind": "ellipsoid", "center": center, "shape": shape, "cut_count": 0}
 
@@ -91,6 +138,10 @@ ENTRY_POINTS = {
     "Ellipsoid(center)": lambda x: Ellipsoid(x, np.eye(DIMENSION)),
     "Ellipsoid(shape)": lambda x: Ellipsoid(np.zeros(DIMENSION), np.diag(x)),
     "loewner_john_cut": lambda x: loewner_john_cut(Ellipsoid.ball(DIMENSION, 2.0), x, 0.0, "leq"),
+    "EllipsoidPricer.update": lambda x: _pricer().update(_exploratory_decision(x), accepted=False),
+    "EllipsoidKnowledge.cut": lambda x: EllipsoidKnowledge(Ellipsoid.ball(DIMENSION, 2.0)).cut(
+        x, 0.0, "leq"
+    ),
     "EllipsoidKnowledge.load_state(center)": lambda x: EllipsoidKnowledge(
         Ellipsoid.ball(DIMENSION, 2.0)
     ).load_state(_knowledge_state(x, np.eye(DIMENSION))),

@@ -103,6 +103,15 @@ def test_a_cut_on_every_round_prices_few_rows_past_each_cut(monkeypatch):
     assert sum(rows_priced) <= 2 * 500
 
 
+def test_every_round_cuts_at_n_1024():
+    """Fig. 5(c)'s regime: the pure version explores and cuts on every round
+    of a logistic market at n = 1024, so each round goes through the
+    in-place Löwner–John update on a 1024 x 1024 shape."""
+    model, batch = _market(LogisticModel, 1024, 100, seed=22)
+    pricer, _ = _compare(model, _pricer(1024, epsilon=1e-9, use_reserve=False), batch)
+    assert pricer.cuts_applied == pricer.exploratory_rounds == 100
+
+
 def test_rounds_skip_when_the_reserve_is_above_the_upper_bound():
     model, batch = _market(LinearModel, 4, 3000, seed=12)
     reserves = batch.reserve_values.copy()

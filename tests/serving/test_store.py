@@ -618,3 +618,37 @@ def test_each_resident_session_holds_one_copy_of_its_state():
         "%.0f traced bytes per resident session, %.2fx its %d state bytes"
         % (traced_per_session, traced_per_session / state_bytes, state_bytes)
     )
+
+
+def test_hydration_churn_leaves_the_heap_flat(tmp_path):
+    """An evict → hydrate round trip keeps nothing per hydration: a
+    ``max_sessions=1`` registry alternates two fig4 sessions through 2,000
+    round trips, and the traced heap grows by a bounded amount (about 18 KB
+    of log and compaction state) rather than by a record per hydration
+    (about 84 KB more, when each hydration appended its wall time to a
+    list)."""
+    environment = build_noisy_query_environment(
+        NoisyLinearQueryConfig(dimension=20, rounds=64, owner_count=40, seed=7)
+    )
+    version = list(ALGORITHM_VERSIONS)[0]
+    registry = PricerRegistry(
+        lambda key: (environment.model, build_pricer_for_version(environment, version)),
+        snapshot_dir=str(tmp_path),
+        max_sessions=1,
+    )
+    keys = [SessionKey("churn", "a"), SessionKey("churn", "b")]
+    for index in range(64):
+        registry.session(keys[index % 2])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for index in range(2000):
+            registry.session(keys[index % 2])
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert registry.stats.hydrations >= 2000
+    registry.close()
+    assert grown < 48_000, "the heap grew %d bytes over 2,000 hydrations" % grown
