@@ -130,10 +130,12 @@ def _condition_bound_after_cut(ellipsoid, alpha):
 class TestCutSequenceProperties:
     """The cut invariants over whole sequences of cuts.
 
-    ``loewner_john_cut`` is the only code that produces post-cut shapes, and
-    ``Ellipsoid.trusted`` wraps them without a check, so every applied cut
-    must leave a shape that is symmetric bit for bit and positive definite,
-    and must shrink the volume at least as fast as Lemma 2 says.
+    The kernel behind ``loewner_john_cut`` (and the engine's
+    ``EllipsoidKnowledge._cut``) is the only code that produces post-cut
+    shapes, it no longer re-symmetrises them, and ``Ellipsoid.trusted`` wraps
+    them without a check, so every applied cut must leave a shape that is
+    symmetric bit for bit and positive definite, and must shrink the volume
+    at least as fast as Lemma 2 says.
     """
 
     @settings(
