@@ -262,13 +262,13 @@ def _apply_cut_formulas(
     # The new shape is exactly symmetric without re-symmetrising: the input
     # shape is (every Ellipsoid holds A_ij == A_ji bit for bit) and
     # b_i * b_j == b_j * b_i in IEEE arithmetic, so both triangles compute
-    # the same floats.  0.5 * (S + S^T), which ended this update before, is
-    # then 0.5 * (2 S_ij): S_ij again, since doubling and halving are exact,
+    # the same floats.  Re-symmetrising with 0.5 * (S + S^T) would compute
+    # 0.5 * (2 S_ij), which is S_ij again (doubling and halving are exact)
     # unless 2 S_ij overflows to inf.  No entry of a positive semidefinite
     # matrix exceeds its largest diagonal entry in magnitude, so an O(n)
     # check on the diagonal, with a factor of two to spare for rounding,
     # routes every shape whose doubling could overflow (and a NaN diagonal)
-    # to the old expression, which keeps its infs.
+    # through that expression, and its infs stay.
     if not np.abs(new_shape.diagonal()).max() < _SYMMETRIC_DIAGONAL_LIMIT:
         new_shape = 0.5 * (new_shape + new_shape.T)
     return Ellipsoid.trusted(new_center, new_shape)
