@@ -218,3 +218,20 @@ def test_an_infinite_reserve_raises_like_the_reference_loop(reserve):
     assert str(block.value) == str(reference.value) == "reserve must be finite, got %r" % reserve
     # Without the reserve constraint the reserve is never read.
     _compare(model, _pricer(3, use_reserve=False), batch)
+
+
+def test_an_overflowing_support_width_raises_like_the_reference_loop():
+    """``x^T A x`` overflows to inf (a 1e150 ball, features of norm ~1e5), so
+    the midpoint is NaN, the round prices at -inf and its cut's offset is
+    not finite.  The block path cuts without the per-cut vector checks but
+    keeps the offset check: it raises ``update``'s error, message included."""
+    rng = np.random.default_rng(23)
+    batch = ArrivalBatch(1e5 * np.abs(rng.standard_normal((4, 3))), np.full(4, np.nan), np.zeros(4))
+    model = LinearModel(np.full(3, 0.3))
+    config = PricerConfig(dimension=3, radius=1e150, epsilon=0.05, use_reserve=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError) as block:
+            simulate(model, EllipsoidPricer(config), arrivals=batch)
+        with pytest.raises(ValueError) as reference:
+            simulate_reference(model, EllipsoidPricer(config), batch.to_arrivals())
+    assert str(block.value) == str(reference.value) == "offset must be finite, got -inf"
