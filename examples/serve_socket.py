@@ -4,14 +4,16 @@
 Starts a 2-shard :class:`~repro.serving.sharding.ShardedRegistry` (each
 worker process owns its own pricer registry + micro-batching quote service),
 exposes it through the asyncio :class:`~repro.serving.frontend.QuoteFrontend`
-on a unix socket, and drives a short closed-loop session from a plain
-blocking :class:`~repro.serving.frontend.QuoteSocketClient`: quote → settle
+on a unix socket, and drives two short closed-loop sessions from the
+blocking :class:`~repro.serving.client.QuoteSocketClient`: quote → settle
 against the realised market value → feedback → next round.
 
-The protocol on the wire is length-prefixed JSON (4-byte big-endian length +
-UTF-8 body) — run ``nc -U /tmp/quotes.sock`` and type nothing to see how
-little magic there is.  Everything here is deterministic: the replay market
-comes from the golden-market recipe, so re-running prints identical prices.
+On the wire every frame is a 4-byte big-endian length and a body: quotes,
+results and feedback travel as columnar binary batches that carry prices
+and features as raw IEEE doubles; ``ping`` and ``stats`` are small JSON
+frames.  Everything here is deterministic: the market is the noisy linear
+query market of Fig. 4 with a fixed seed, so re-running prints identical
+prices.
 
 Usage::
 
@@ -26,28 +28,29 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro.core.pricing import make_pricer
-from repro.engine import stream_rounds
+from repro.apps.common import build_pricer_for_version
+from repro.apps.noisy_linear_query import NoisyLinearQueryConfig, build_noisy_query_environment
+from repro.engine import prepare, stream_rounds
 from repro.serving import (
     MicroBatchConfig,
     QuoteSocketClient,
     SessionKey,
     ShardedRegistry,
-    dataset_replay_market,
     start_frontend_thread,
 )
 
 ROUNDS = 24
-DIMENSION_RADIUS = 3.0
 
 
 def main() -> int:
-    # A deterministic replay market over the loans dataset loader.
-    materialized, model = dataset_replay_market("loans", rounds=ROUNDS, seed=11)
-    dimension = materialized.mapped_features.shape[1]
+    # A deterministic noisy-linear-query market (n = 20, as in Fig. 4).
+    environment = build_noisy_query_environment(
+        NoisyLinearQueryConfig(dimension=20, rounds=ROUNDS, owner_count=200, seed=11)
+    )
+    materialized = prepare(environment.model, environment.arrival_batch())
 
     def factory(key: SessionKey):
-        return model, make_pricer(dimension=dimension, radius=DIMENSION_RADIUS, epsilon=0.1)
+        return environment.model, build_pricer_for_version(environment, key.segment)
 
     socket_path = os.path.join(tempfile.mkdtemp(prefix="repro-serving-"), "quotes.sock")
     print("starting 2-shard backend + asyncio front end on %s" % socket_path)
@@ -60,7 +63,10 @@ def main() -> int:
         try:
             with QuoteSocketClient(unix_path=socket_path) as client:
                 client.ping()
-                keys = [SessionKey("loans", "prime"), SessionKey("loans", "subprime")]
+                keys = [
+                    SessionKey("queries", "pure version"),
+                    SessionKey("queries", "with reserve price"),
+                ]
                 for key in keys:
                     print(
                         "session %s -> shard %d" % (key, backend.shard_of(key))
@@ -78,7 +84,7 @@ def main() -> int:
                             revenue[key] += posted
                         if round_.index < 3:
                             print(
-                                "  round %2d  %-16s quote_id=%-3d posted=%s sold=%s"
+                                "  round %2d  %-18s quote_id=%-5d posted=%s sold=%s"
                                 % (
                                     round_.index,
                                     key.segment,
@@ -99,7 +105,7 @@ def main() -> int:
                     )
                 )
                 for key in keys:
-                    print("  revenue %-18s %.4f" % (key, revenue[key]))
+                    print("  revenue %-26s %.4f" % (key, revenue[key]))
         finally:
             handle.stop()
     print("done.")

@@ -11,9 +11,12 @@ all four algorithm versions on one shared arrival stream) twice:
   market is materialised once, each version runs through its batched fast
   path, and the cells fan out across workers where available.
 
-Each pass is timed best of three (fresh pricers every time), and the
-transcripts of the two passes are checked element-wise identical (every
-column) before the timing is trusted.  The result is written to a JSON file
+The passes alternate, engine then legacy, three times over, and each side
+reports its fastest pass (fresh pricers every time): a slow phase of the
+host then falls on both sides instead of on one block of passes.  Every
+pair's times go into the report.  The transcripts of the two passes are
+checked element-wise identical (every column) before the timing is
+trusted.  The result is written to a JSON file
 (``BENCH_engine.json``) so the performance trajectory is tracked across PRs —
 CI runs a short-horizon smoke version of this script and gates the legacy /
 engine ratio.
@@ -39,7 +42,7 @@ from repro.apps.common import ALGORITHM_VERSIONS, VersionPricerFactory, build_pr
 from repro.apps.noisy_linear_query import NoisyLinearQueryConfig, build_noisy_query_environment
 from repro.engine import RunMatrix, simulate_reference
 
-#: Timing repeats per pass; each pass reports its fastest.
+#: Timed passes per side; each side reports its fastest.
 REPEATS = 3
 
 
@@ -65,15 +68,11 @@ def parse_args(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def best_of(run):
-    """Fastest of :data:`REPEATS` calls of ``run`` and the last call's result."""
-    best = float("inf")
-    result = None
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        result = run()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+def timed(run):
+    """Wall-clock seconds of one call of ``run``, and its result."""
+    start = time.perf_counter()
+    result = run()
+    return time.perf_counter() - start, result
 
 
 def transcripts_identical(engine_result, reference_result) -> bool:
@@ -117,8 +116,35 @@ def main(argv=None) -> int:
     for version in versions:
         matrix.add_pricer(version, VersionPricerFactory(version))
     matrix.add_cross()
-    engine_seconds, grid = best_of(lambda: matrix.run(executor=args.executor))
-    engine_results = {version: grid.get("market", version) for version in versions}
+
+    def engine_pass():
+        grid = matrix.run(executor=args.executor)
+        return {version: grid.get("market", version) for version in versions}
+
+    if args.skip_legacy:
+        legacy_pass = None
+    else:
+        # Build the row objects once, outside the timer: the legacy pass is
+        # timed on the same work as the engine pass, the replay alone.
+        arrivals = list(environment.arrivals)
+
+        def legacy_pass():
+            return {
+                version: simulate_reference(
+                    environment.model, build_pricer_for_version(environment, version), arrivals
+                )
+                for version in versions
+            }
+
+    # Pair i is engine pass i, then legacy pass i.
+    seconds = {"engine": [], "legacy": []}
+    for _ in range(REPEATS):
+        elapsed, engine_results = timed(engine_pass)
+        seconds["engine"].append(elapsed)
+        if legacy_pass is not None:
+            elapsed, references = timed(legacy_pass)
+            seconds["legacy"].append(elapsed)
+    engine_seconds = min(seconds["engine"])
     print("engine pass:  %6.2fs  (%d cells, executor=%s)" % (engine_seconds, len(versions), args.executor))
 
     report = {
@@ -135,26 +161,17 @@ def main(argv=None) -> int:
         "executor": args.executor,
         "repeats": REPEATS,
         "engine_seconds": round(engine_seconds, 4),
+        "pass_seconds": {
+            side: [round(elapsed, 4) for elapsed in times] for side, times in seconds.items()
+        },
         "final_cumulative_regret": {
             version: round(result.cumulative_regret, 4)
             for version, result in engine_results.items()
         },
     }
 
-    if not args.skip_legacy:
-        # Build the row objects once, outside the timer: the legacy pass is
-        # timed on the same work as the engine pass, the replay alone.
-        arrivals = list(environment.arrivals)
-
-        def legacy_pass():
-            return {
-                version: simulate_reference(
-                    environment.model, build_pricer_for_version(environment, version), arrivals
-                )
-                for version in versions
-            }
-
-        legacy_seconds, references = best_of(legacy_pass)
+    if legacy_pass is not None:
+        legacy_seconds = min(seconds["legacy"])
         identical = all(
             transcripts_identical(engine_results[version], references[version])
             for version in versions

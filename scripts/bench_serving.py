@@ -21,9 +21,8 @@ Six measurement modes, all written into one ``BENCH_serving.json``:
 * **networked replay-at-rate** (``--net-target-qps``) — the same open-loop
   arrival schedule driven **through the socket frontend**: ``--connections``
   pipelined :class:`AsyncQuoteClient` connections over a unix socket
-  (binary v2 wire and write coalescing by default; ``--wire 1`` measures
-  the JSON path), quotes fanned round-robin, feedback settled as results
-  arrive.  Reports offered vs achieved qps, client-side round-trip
+  (binary v2 batches, writes coalesced per event-loop tick), quotes fanned
+  round-robin, feedback settled as results arrive.  Reports offered vs achieved qps, client-side round-trip
   percentiles, the server-side queue-delay percentiles, backpressure
   rejections, and the frontend wire/dispatch counters — this is the mode
   that actually exercises the network path.
@@ -138,13 +137,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         type=int,
         default=4,
         help="pipelined client connections for the networked rate mode",
-    )
-    parser.add_argument(
-        "--wire",
-        type=int,
-        choices=(1, 2),
-        default=2,
-        help="wire protocol for the networked modes (2 = binary batched, 1 = JSON)",
     )
     parser.add_argument(
         "--sweep-qps",
@@ -368,8 +360,7 @@ def run_networked_point(args, materialized, keys, factory, target_qps):
     The in-process rate mode never touches a socket; this one starts the
     asyncio frontend on a unix socket (a fresh service per call, so repeated
     points never inherit learning state) and drives it from
-    ``--connections`` pipelined :class:`AsyncQuoteClient` connections
-    speaking ``--wire`` with write coalescing.  Quotes follow the open-loop
+    ``--connections`` pipelined :class:`AsyncQuoteClient` connections.  Quotes follow the open-loop
     schedule (quote ``i`` offered at ``start + i/qps``), fanned round-robin
     across connections.  The settle path is callback-driven, not
     task-per-quote: each quote future chains into its feedback submit on
@@ -392,15 +383,13 @@ def run_networked_point(args, materialized, keys, factory, target_qps):
     total = rate_rounds * len(keys)
     print(
         "replaying at %.0f offered qps through the socket "
-        "(%d quotes, %d connections, wire v%d) ..."
-        % (target_qps, total, connections, args.wire)
+        "(%d quotes, %d connections) ..."
+        % (target_qps, total, connections)
     )
 
     async def _drive():
         clients = [
-            await AsyncQuoteClient.connect(
-                unix_path=handle.address, wire=args.wire, coalesce_writes=True
-            )
+            await AsyncQuoteClient.connect(unix_path=handle.address)
             for _ in range(connections)
         ]
         interval = 1.0 / target_qps
@@ -510,7 +499,6 @@ def run_networked_point(args, materialized, keys, factory, target_qps):
     return {
         "offered_qps": round(target_qps, 1),
         "achieved_qps": round(achieved, 1),
-        "wire": args.wire,
         "connections": connections,
         "quotes": counters["settled"],
         "rejected_backpressure": counters["rejected"],
@@ -576,7 +564,6 @@ def run_networked_sweep(args, materialized, keys, factory):
     knee_index = find_knee([point["sustained"] for point in points])
     knee = None if knee_index is None else points[knee_index]
     summary = {
-        "wire": args.wire,
         "connections": max(1, args.connections),
         "offered_qps": [point["offered_qps"] for point in points],
         "achieved_qps": [point["achieved_qps"] for point in points],

@@ -78,7 +78,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--from-shards", type=int, default=2, help="initial shard count N")
     parser.add_argument("--to-shards", type=int, default=3, help="target shard count M")
-    parser.add_argument("--wire", type=int, default=2, choices=(1, 2))
     parser.add_argument("--persist-every", type=int, default=1,
                         help="write-behind cadence (1 = persist per feedback)")
     parser.add_argument("--move-at", type=float, default=0.5,
@@ -139,9 +138,7 @@ async def drive(args, sharded, address, materialized, keys, counters, migration)
     guarantees the re-proposal is bit-identical — so the ledger converges
     to zero unresolved ids or the run fails loudly.
     """
-    client = await AsyncQuoteClient.connect(
-        unix_path=address, wire=args.wire, coalesce_writes=True
-    )
+    client = await AsyncQuoteClient.connect(unix_path=address)
     posted = {key: [] for key in keys}
     try:
         for index, round_ in enumerate(stream_rounds(materialized)):
@@ -263,12 +260,11 @@ def main(argv=None) -> int:
         drain_interval=0.0005,
     )
     print(
-        "serving %d sessions x %d rounds through the socket (wire v%d), "
+        "serving %d sessions x %d rounds through the socket, "
         "migrating %d -> %d shards at round %d%s ..."
         % (
             args.sessions,
             args.rounds,
-            args.wire,
             args.from_shards,
             args.to_shards,
             counters["move_round"],
@@ -347,7 +343,6 @@ def main(argv=None) -> int:
             "workload": {
                 "sessions": args.sessions,
                 "rounds": args.rounds,
-                "wire": args.wire,
                 "from_shards": args.from_shards,
                 "to_shards": args.to_shards,
                 "chaos": bool(args.chaos),

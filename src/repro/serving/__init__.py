@@ -15,28 +15,26 @@ latency under live arrivals) as an actual serving layer:
   quote queue that coalesces concurrent requests within a time/size window
   into columnar ``propose_batch`` calls where legal, plus the feedback path
   applying accept/reject outcomes through ``update_batch`` / ``update``;
-* :mod:`repro.serving.feeds` — open-loop synthetic generators and
-  closed-loop replay feeds over the dataset loaders (``loans``,
-  ``ad_clicks``, ``listings``) and any materialised market;
 * :mod:`repro.serving.loop` — :func:`serve_closed_loop`, the round-by-round
   driver whose transcript is bit-identical to the offline engine
   (``tests/serving/`` pins this for every golden pricer family);
 * :mod:`repro.serving.sharding` — :class:`ShardedRegistry`, a router hashing
   session keys across N worker processes (one registry + service per
   worker, quote/feedback dispatch over pipes, a segment log per shard);
-* :mod:`repro.serving.wire` — the framing layer and both wire formats
-  (length-prefixed JSON v1 and the columnar binary v2 negotiated per
-  connection), shared by the server and both clients;
+* :mod:`repro.serving.wire` — the length-prefixed framing and its codecs:
+  quotes, results, feedback and acks cross the socket only as columnar
+  binary v2 batches of tagged items; JSON frames carry only the control ops
+  (``flush``, ``stats``, ``ping``), their replies and errors;
 * :mod:`repro.serving.frontend` — :class:`QuoteFrontend`, the asyncio socket
-  server (either wire format over TCP or unix socket) over either backend,
-  dispatching each event-loop tick's frames as one coalesced backend call,
-  with bounded-waiter / per-connection-budget / slow-reader backpressure,
-  plus the synchronous :class:`QuoteSocketClient` and
-  :func:`serve_closed_loop_socket`, the through-the-wire twin of the
+  server (TCP or unix socket) over either backend, dispatching each
+  event-loop tick's frames as one coalesced backend call, with
+  bounded-waiter / per-connection-budget / slow-reader backpressure;
+* :mod:`repro.serving.client` — the one client core:
+  :class:`AsyncQuoteClient` (pipelined, multiple outstanding requests per
+  connection, futures keyed by request tag, writes coalesced per
+  event-loop tick), its blocking wrapper :class:`QuoteSocketClient`, and
+  :func:`serve_closed_loop_async`, the through-the-wire twin of the
   closed-loop driver;
-* :mod:`repro.serving.client` — :class:`AsyncQuoteClient`, the pipelined
-  asyncio client (multiple outstanding requests per connection, futures
-  keyed by request tag) and :func:`serve_closed_loop_async`;
 * :mod:`repro.serving.resharding` — **offline** snapshot migration between
   shard counts: append every segment record of an N-shard tree verbatim to
   the log its key hashes to under M shards, with byte-exact verification
@@ -53,23 +51,16 @@ quote latency, replay-at-rate pacing — in-process and through the socket —
 and shard scaling → ``BENCH_serving.json``).
 """
 
-from repro.serving.client import AsyncQuoteClient, serve_closed_loop_async
-from repro.serving.feeds import (
-    REPLAY_DATASETS,
-    ReplayFeed,
-    SyntheticFeed,
-    dataset_arrival_features,
-    dataset_replay_market,
-    replay_feed,
+from repro.serving.client import (
+    AsyncQuoteClient,
+    QuoteSocketClient,
+    frame_sold_at,
+    serve_closed_loop_async,
 )
 from repro.serving.frontend import (
-    FrameDecoder,
     FrontendHandle,
     FrontendStats,
     QuoteFrontend,
-    QuoteSocketClient,
-    frame_sold_at,
-    serve_closed_loop_socket,
     start_frontend_thread,
 )
 from repro.serving.loop import serve_closed_loop
@@ -96,7 +87,7 @@ from repro.serving.store import (
     SegmentLog,
     list_segment_sessions,
 )
-from repro.serving.wire import WIRE_V1, WIRE_V2
+from repro.serving.wire import WIRE_V2, FrameDecoder
 
 __all__ = [
     "AsyncQuoteClient",
@@ -113,10 +104,8 @@ __all__ = [
     "QuoteResponse",
     "QuoteService",
     "QuoteSocketClient",
-    "REPLAY_DATASETS",
     "RebalanceReport",
     "RegistryStats",
-    "ReplayFeed",
     "ReshardReport",
     "RoutingTable",
     "SegmentLog",
@@ -125,20 +114,14 @@ __all__ = [
     "SessionMove",
     "SessionRebalance",
     "ShardedRegistry",
-    "SyntheticFeed",
-    "WIRE_V1",
     "WIRE_V2",
-    "dataset_arrival_features",
-    "dataset_replay_market",
     "frame_sold_at",
     "list_segment_sessions",
     "plan_reshard",
     "rebalance_live",
-    "replay_feed",
     "reshard_snapshots",
     "serve_closed_loop",
     "serve_closed_loop_async",
-    "serve_closed_loop_socket",
     "shard_of_key",
     "start_frontend_thread",
     "verify_reshard",

@@ -1,8 +1,8 @@
-"""Pipelined asyncio client for the quote-serving socket protocol.
+"""The client of the quote-serving socket protocol: one core, two faces.
 
 :class:`AsyncQuoteClient` keeps **multiple requests outstanding on one
-connection**.  Every request frame carries a connection-unique ``id`` tag;
-a background reader task correlates each incoming frame back to the future
+connection**.  Every request carries a connection-unique ``id`` tag; a
+background reader task correlates each incoming item back to the future
 awaiting it, so responses may arrive in any order (the server answers
 quotes when the micro-batch window drains, not in submission order) and
 the connection is never idle between request and response.
@@ -10,24 +10,21 @@ the connection is never idle between request and response.
 Two usage levels:
 
 * the ``await``-style operations (:meth:`~AsyncQuoteClient.quote`,
-  :meth:`~AsyncQuoteClient.feedback`, ...) look like the blocking
-  :class:`~repro.serving.frontend.QuoteSocketClient` but can be driven from
-  many concurrent tasks sharing one connection;
+  :meth:`~AsyncQuoteClient.feedback`, ...) can be driven from many
+  concurrent tasks sharing one connection;
 * the ``submit_*`` primitives return the :class:`asyncio.Future` directly —
   the open-loop load driver (``scripts/bench_serving.py --net-target-qps``)
   fires thousands of these without awaiting, which is what makes offered
   rate independent of completion rate through the socket.
 
-**Batching.**  ``connect(wire=2)`` negotiates the binary columnar v2
-protocol (:mod:`repro.serving.wire`); against an old server the client
-silently stays on JSON v1.  ``connect(coalesce_writes=True)`` additionally
-stages ``submit_quote``/``submit_feedback`` payloads and flushes them at
-the end of the current event-loop tick — consecutive runs of the same kind
-leave as **one** frame (v2) or one contiguous buffer (v1), so an open loop
-that fires a burst of submits per tick pays one syscall and, server-side,
-one executor hop for the whole burst.  :meth:`submit_quotes` /
-:meth:`submit_feedbacks` batch explicitly.  Coalescing never reorders:
-only adjacent same-kind payloads merge, so a closed loop (feedback before
+**One wire path.**  Requests are staged and flushed at the end of the
+current event-loop tick: consecutive quotes leave as **one** binary v2
+``quote_batch`` frame and consecutive feedback events as one
+``feedback_batch`` frame (:mod:`repro.serving.wire`), so an open loop that
+fires a burst of submits per tick pays one syscall and, server-side, one
+executor hop for the whole burst.  Control ops (``flush``, ``stats``,
+``ping``) are JSON frames on the same stage.  The flush never reorders:
+only adjacent same-kind requests merge, so a closed loop (feedback before
 the next quote) is preserved exactly.
 
 Failure mapping: ``error`` frames with ``code: "backpressure"`` resolve the
@@ -37,18 +34,18 @@ become :class:`~repro.exceptions.ServingError` with the drain accounting;
 a connection-level failure (EOF, frame-boundary corruption) fails **every**
 pending future, so no caller can hang on a dead connection.
 
-:func:`serve_closed_loop_async` is the pipelined client's closed-loop
-replay driver — the per-round protocol is identical to
-:func:`repro.serving.frontend.serve_closed_loop_socket`, so its transcript
-is bit-identical to the offline engine (pinned for every golden family by
-``tests/serving/test_async_client.py``, and on the v2 path by
-``tests/serving/test_wire_v2.py``).
+:class:`QuoteSocketClient` is the blocking face of the same core: it runs
+one :class:`AsyncQuoteClient` on a private event loop.
+:func:`serve_closed_loop_async` is the closed-loop replay driver through
+the socket; its transcript is bit-identical to the offline engine (pinned
+for every golden family by ``tests/serving/test_frontend.py``).
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import itertools
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,24 +53,78 @@ from repro.engine.arrivals import MaterializedArrivals
 from repro.engine.results import SimulationResult
 from repro.engine.streaming import stream_rounds
 from repro.engine.transcript import Transcript
-from repro.exceptions import ServingError
-from repro.serving.frontend import (
-    error_from_frame,
-    settle_frame_into_transcript,
-)
+from repro.exceptions import BackpressureError, ServingError
 from repro.serving.requests import SessionKey
 from repro.serving.wire import (
-    WIRE_V1,
     WIRE_V2,
+    Batch,
     FrameDecoder,
     encode_feedback_batch,
     encode_frame,
-    encode_frames,
     encode_quote_batch,
 )
 
 #: Socket read size of the client reader task.
 READ_CHUNK_BYTES = 256 * 1024
+
+
+# --------------------------------------------------------------------------- #
+# Reading reply items
+# --------------------------------------------------------------------------- #
+
+
+def frame_sold_at(result: dict, market_value: float) -> bool:
+    """The engine's sale rule applied to a ``quote_result`` item.
+
+    The dict twin of :meth:`~repro.serving.requests.QuoteResponse.sold_at` —
+    one definition of the sale shared by every settle site that works on
+    wire results (the socket closed-loop driver and the networked load
+    drivers); the bit-identical equivalence contract depends on all of them
+    agreeing.
+    """
+    posted_price = result.get("posted_price")
+    if result.get("skipped") or posted_price is None:
+        return False
+    return posted_price <= market_value
+
+
+def settle_frame_into_transcript(
+    transcript: Transcript, index: int, result: dict, market_value: float
+) -> bool:
+    """Record one ``quote_result`` item as an engine-format transcript row.
+
+    Decide the sale with :func:`frame_sold_at`, write the price columns only
+    on a posted round, and always record the decision flags.  Returns the
+    sale outcome to feed back.
+    """
+    sold = frame_sold_at(result, market_value)
+    if not result["skipped"] and result["posted_price"] is not None:
+        transcript.link_prices[index] = result["link_price"]
+        transcript.posted_prices[index] = result["posted_price"]
+        transcript.sold[index] = sold
+    transcript.skipped[index] = result["skipped"]
+    transcript.exploratory[index] = result["exploratory"]
+    return sold
+
+
+def error_from_frame(frame: dict) -> ServingError:
+    """Rebuild the typed client-side exception of one ``error`` frame.
+
+    Frames with ``code: "backpressure"`` become
+    :class:`~repro.exceptions.BackpressureError` (the request was rejected
+    before submission — retry is safe); everything else is a plain
+    :class:`ServingError` carrying the drain accounting the frame names.
+    """
+    cls = BackpressureError if frame.get("code") == "backpressure" else ServingError
+    return cls(
+        str(frame.get("error")),
+        lost_quote_ids=frame.get("lost_quote_ids") or [],
+    )
+
+
+# --------------------------------------------------------------------------- #
+# The client core
+# --------------------------------------------------------------------------- #
 
 
 class AsyncQuoteClient:
@@ -92,9 +143,7 @@ class AsyncQuoteClient:
         self._next_tag = 0
         self._closed = False
         self._failure: Optional[ServingError] = None
-        self._wire = WIRE_V1
-        self._coalesce = False
-        #: Payloads staged for the end-of-tick flush: ``(kind, payload)``.
+        #: Requests staged for the end-of-tick flush: ``(kind, payload)``.
         self._staged: List[Tuple[str, dict]] = []
         self._flush_scheduled = False
         self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
@@ -105,15 +154,19 @@ class AsyncQuoteClient:
         host: Optional[str] = None,
         port: Optional[int] = None,
         unix_path: Optional[str] = None,
-        wire: int = WIRE_V1,
-        coalesce_writes: bool = False,
+        wire: int = WIRE_V2,
+        coalesce_writes: bool = True,
     ) -> "AsyncQuoteClient":
         """Open a TCP or unix-socket connection to a :class:`QuoteFrontend`.
 
-        ``wire=2`` negotiates the binary v2 protocol (falling back to v1
-        against an old server); ``coalesce_writes=True`` batches the
-        ``submit_*`` primitives per event-loop tick.
+        ``wire`` and ``coalesce_writes`` accept only ``WIRE_V2`` and
+        ``True``, the one wire path; any other value raises
+        :class:`ValueError`.
         """
+        if wire != WIRE_V2:
+            raise ValueError("wire must be %d, got %r" % (WIRE_V2, wire))
+        if coalesce_writes is not True:
+            raise ValueError("coalesce_writes must be True, got %r" % (coalesce_writes,))
         if (unix_path is None) == (host is None) or (
             unix_path is None and port is None
         ):
@@ -122,37 +175,12 @@ class AsyncQuoteClient:
             reader, writer = await asyncio.open_unix_connection(unix_path)
         else:
             reader, writer = await asyncio.open_connection(host, int(port))
-        client = cls(reader, writer)
-        client._coalesce = bool(coalesce_writes)
-        if wire >= WIRE_V2:
-            await client.negotiate(wire)
-        return client
+        return cls(reader, writer)
 
     @property
     def outstanding(self) -> int:
         """Requests sent and not yet answered on this connection."""
         return len(self._pending)
-
-    @property
-    def wire(self) -> int:
-        """The negotiated protocol version (1 until a successful hello)."""
-        return self._wire
-
-    async def negotiate(self, version: int = WIRE_V2) -> int:
-        """Request a protocol upgrade; returns the agreed version.
-
-        An old server answers ``hello`` with an ``error`` frame — the client
-        stays on v1 and every operation keeps working.
-        """
-        future = self._submit_json({"op": "hello", "wire": int(version)})
-        try:
-            frame = await self._expect(future, "hello_ok")
-        except ServingError:
-            if self._failure is not None:
-                raise self._failure
-            return self._wire
-        self._wire = int(frame.get("wire", WIRE_V1))
-        return self._wire
 
     # -- correlation ----------------------------------------------------- #
 
@@ -168,24 +196,21 @@ class AsyncQuoteClient:
                     self._fail_all(ServingError("server closed the connection"))
                     return
                 for frame in decoder.feed(chunk):
-                    self._deliver(frame)
+                    if isinstance(frame, Batch):
+                        for item in frame["items"]:
+                            self._deliver(item)
+                    elif isinstance(frame, dict):
+                        self._deliver(frame)
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # noqa: BLE001 — any reader failure kills the link
             self._fail_all(ServingError("connection failed: %s" % exc))
 
     def _deliver(self, frame: dict) -> None:
-        if not isinstance(frame, dict):
-            return
-        op = frame.get("op")
-        if op in ("quote_result_batch", "feedback_ok_batch"):
-            for item in frame.get("items") or []:
-                self._deliver(item)
-            return
         tag = frame.get("id")
         future = self._pending.pop(tag, None) if tag is not None else None
         if future is None or future.done():
-            if op == "error" and tag is None:
+            if frame.get("op") == "error" and tag is None:
                 # A frame-boundary protocol error: the server hangs up after
                 # sending it, so nothing pending can ever be answered.
                 self._fail_all(error_from_frame(frame))
@@ -193,7 +218,7 @@ class AsyncQuoteClient:
             # caller that gave up) is dropped — ids are never reused, so it
             # cannot be mistaken for another request's answer.
             return
-        if op == "error":
+        if frame.get("op") == "error":
             future.set_exception(error_from_frame(frame))
         else:
             future.set_result(frame)
@@ -201,7 +226,7 @@ class AsyncQuoteClient:
     def _fail_all(self, exc: ServingError) -> None:
         # Remember the terminal failure: a request submitted *after* the
         # connection died has no reader left to resolve its future, so
-        # _register must refuse it instead of letting the caller hang.
+        # _submit must refuse it instead of letting the caller hang.
         if self._failure is None:
             self._failure = exc
         self._staged.clear()
@@ -212,8 +237,8 @@ class AsyncQuoteClient:
 
     # -- writes ----------------------------------------------------------- #
 
-    def _register(self, payload: dict) -> "asyncio.Future":
-        """Tag a payload and create the future its response resolves."""
+    def _submit(self, kind: str, payload: dict) -> "asyncio.Future":
+        """Tag a request, stage it for the end-of-tick flush, return its future."""
         if self._closed:
             raise ServingError("client is closed")
         if self._failure is not None:
@@ -222,67 +247,33 @@ class AsyncQuoteClient:
         payload["id"] = self._next_tag
         future = asyncio.get_running_loop().create_future()
         self._pending[self._next_tag] = future
+        self._staged.append((kind, payload))
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            asyncio.get_running_loop().call_soon(self._flush_staged)
         return future
 
-    def _write_now(self, kind: str, payloads: Sequence[dict]) -> None:
-        """Encode one same-kind run as a single buffer and write it."""
-        if self._wire >= WIRE_V2 and kind == "quote":
-            self._writer.write(encode_quote_batch(payloads))
-        elif self._wire >= WIRE_V2 and kind == "feedback":
-            self._writer.write(encode_feedback_batch(payloads))
-        else:
-            self._writer.write(encode_frames(payloads))
-
-    def _enqueue(self, kind: str, payload: dict) -> None:
-        if self._coalesce:
-            self._staged.append((kind, payload))
-            if not self._flush_scheduled:
-                self._flush_scheduled = True
-                asyncio.get_running_loop().call_soon(self._flush_staged)
-            return
-        self._write_now(kind, [payload])
-
     def _flush_staged(self) -> None:
-        """End-of-tick flush: consecutive same-kind runs leave as one write."""
+        """End-of-tick flush: each same-kind run of requests is one frame."""
         self._flush_scheduled = False
         staged, self._staged = self._staged, []
         if not staged or self._closed or self._failure is not None:
             return
+        frames = []
         try:
-            index = 0
-            while index < len(staged):
-                kind = staged[index][0]
-                end = index + 1
-                while end < len(staged) and staged[end][0] == kind:
-                    end += 1
-                self._write_now(
-                    kind, [payload for _kind, payload in staged[index:end]]
-                )
-                index = end
+            for kind, run in itertools.groupby(staged, key=lambda entry: entry[0]):
+                payloads = [payload for _kind, payload in run]
+                if kind == "quote":
+                    frames.append(encode_quote_batch(payloads))
+                elif kind == "feedback":
+                    frames.append(encode_feedback_batch(payloads))
+                else:
+                    frames.extend(encode_frame(payload) for payload in payloads)
+            self._writer.write(b"".join(frames))
         except Exception as exc:  # noqa: BLE001 — a dead writer fails the link
             self._fail_all(ServingError("write failed: %s" % exc))
 
     # -- pipelining primitives ------------------------------------------- #
-
-    def _quote_payload(
-        self, key: SessionKey, features, reserve: Optional[float]
-    ) -> dict:
-        return {
-            "op": "quote",
-            "app": key.app,
-            "segment": key.segment,
-            "features": [float(value) for value in np.asarray(features, dtype=float)],
-            "reserve": None if reserve is None else float(reserve),
-        }
-
-    def _feedback_payload(self, key: SessionKey, quote_id: int, accepted: bool) -> dict:
-        return {
-            "op": "feedback",
-            "app": key.app,
-            "segment": key.segment,
-            "quote_id": int(quote_id),
-            "accepted": bool(accepted),
-        }
 
     def submit_quote(
         self,
@@ -295,58 +286,32 @@ class AsyncQuoteClient:
         Returns immediately — pipelining is simply calling this again before
         awaiting.  The future raises :class:`BackpressureError` on a
         frontend rejection and :class:`ServingError` on a drain failure.
-        With ``coalesce_writes`` the frame leaves at the end of the current
-        event-loop tick, batched with its same-kind neighbours.
+        The request leaves at the end of the current event-loop tick,
+        batched with its same-kind neighbours.
         """
-        payload = self._quote_payload(key, features, reserve)
-        future = self._register(payload)
-        self._enqueue("quote", payload)
-        return future
+        return self._submit(
+            "quote",
+            {
+                "app": key.app,
+                "segment": key.segment,
+                "features": np.array(features, dtype=float),
+                "reserve": None if reserve is None else float(reserve),
+            },
+        )
 
     def submit_feedback(
         self, key: SessionKey, quote_id: int, accepted: bool
     ) -> "asyncio.Future":
         """Fire one feedback event; the future resolves on ``feedback_ok``."""
-        payload = self._feedback_payload(key, quote_id, accepted)
-        future = self._register(payload)
-        self._enqueue("feedback", payload)
-        return future
-
-    def submit_quotes(
-        self, items: Iterable[Tuple[SessionKey, "np.ndarray", Optional[float]]]
-    ) -> List["asyncio.Future"]:
-        """Fire a batch of quotes as **one** frame (v2) or one buffer (v1).
-
-        ``items`` yields ``(key, features, reserve)`` triples; returns one
-        future per item, in order.  Bypasses the coalescing stage — the
-        batch is written immediately as a single unit.
-        """
-        payloads = []
-        futures = []
-        for key, features, reserve in items:
-            payload = self._quote_payload(key, features, reserve)
-            futures.append(self._register(payload))
-            payloads.append(payload)
-        if payloads:
-            self._write_now("quote", payloads)
-        return futures
-
-    def submit_feedbacks(
-        self, events: Iterable[Tuple[SessionKey, int, bool]]
-    ) -> List["asyncio.Future"]:
-        """Fire a batch of feedback events as one frame (v2) or buffer (v1).
-
-        ``events`` yields ``(key, quote_id, accepted)`` triples.
-        """
-        payloads = []
-        futures = []
-        for key, quote_id, accepted in events:
-            payload = self._feedback_payload(key, quote_id, accepted)
-            futures.append(self._register(payload))
-            payloads.append(payload)
-        if payloads:
-            self._write_now("feedback", payloads)
-        return futures
+        return self._submit(
+            "feedback",
+            {
+                "app": key.app,
+                "segment": key.segment,
+                "quote_id": int(quote_id),
+                "accepted": bool(accepted),
+            },
+        )
 
     @staticmethod
     async def _expect(future: "asyncio.Future", op: str) -> dict:
@@ -357,16 +322,10 @@ class AsyncQuoteClient:
 
     # -- awaited operations ---------------------------------------------- #
 
-    def _submit_json(self, payload: dict) -> "asyncio.Future":
-        """Housekeeping ops: always a single JSON frame, never staged."""
-        future = self._register(payload)
-        self._writer.write(encode_frame(payload))
-        return future
-
     async def quote(
         self, key: SessionKey, features, reserve: Optional[float] = None
     ) -> dict:
-        """Request one quote and await its result frame."""
+        """Request one quote and await its result."""
         return await self._expect(
             self.submit_quote(key, features, reserve=reserve), "quote_result"
         )
@@ -375,17 +334,18 @@ class AsyncQuoteClient:
         await self._expect(self.submit_feedback(key, quote_id, accepted), "feedback_ok")
 
     async def flush(self) -> int:
-        frame = await self._expect(self._submit_json({"op": "flush"}), "flush_ok")
+        frame = await self._expect(self._submit("control", {"op": "flush"}), "flush_ok")
         return int(frame["drained"])
 
     async def stats(self) -> dict:
-        return await self._expect(self._submit_json({"op": "stats"}), "stats")
+        return await self._expect(self._submit("control", {"op": "stats"}), "stats")
 
     async def ping(self) -> None:
-        await self._expect(self._submit_json({"op": "ping"}), "pong")
+        await self._expect(self._submit("control", {"op": "ping"}), "pong")
 
     async def drain(self) -> None:
-        """Flow-control the outgoing buffer (submit-heavy open loops)."""
+        """Put staged requests on the wire and flow-control the buffer."""
+        self._flush_staged()
         await self._writer.drain()
 
     # -- lifecycle -------------------------------------------------------- #
@@ -415,20 +375,77 @@ class AsyncQuoteClient:
         await self.close()
 
 
+class QuoteSocketClient:
+    """Blocking client: one :class:`AsyncQuoteClient` on a private loop.
+
+    Each call runs one operation to completion, so a client has one request
+    outstanding at a time; open several clients for concurrent traffic (the
+    server multiplexes connections).  ``timeout`` bounds every call.
+    """
+
+    def __init__(
+        self,
+        host: Optional[str] = None,
+        port: Optional[int] = None,
+        unix_path: Optional[str] = None,
+        timeout: float = 30.0,
+    ) -> None:
+        self._timeout = timeout
+        self._loop = asyncio.new_event_loop()
+        try:
+            self._client = self._run(
+                AsyncQuoteClient.connect(host=host, port=port, unix_path=unix_path)
+            )
+        except BaseException:
+            self._loop.close()
+            raise
+
+    def _run(self, operation):
+        return self._loop.run_until_complete(asyncio.wait_for(operation, self._timeout))
+
+    def quote(self, key: SessionKey, features, reserve: Optional[float] = None) -> dict:
+        """Request one quote and block until its result arrives."""
+        return self._run(self._client.quote(key, features, reserve=reserve))
+
+    def feedback(self, key: SessionKey, quote_id: int, accepted: bool) -> None:
+        self._run(self._client.feedback(key, quote_id, accepted))
+
+    def flush(self) -> int:
+        return self._run(self._client.flush())
+
+    def stats(self) -> dict:
+        return self._run(self._client.stats())
+
+    def ping(self) -> None:
+        self._run(self._client.ping())
+
+    def close(self) -> None:
+        if not self._loop.is_closed():
+            self._run(self._client.close())
+            self._loop.close()
+
+    def __enter__(self) -> "QuoteSocketClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
 async def serve_closed_loop_async(
     client: AsyncQuoteClient,
     key: SessionKey,
     materialized: MaterializedArrivals,
     pricer_name: Optional[str] = None,
 ) -> SimulationResult:
-    """Drive one session through a materialised market over the async client.
+    """Drive one session through a materialised market over the socket.
 
-    The asyncio twin of :func:`repro.serving.frontend.
-    serve_closed_loop_socket`: one quote per round, the sale settled against
-    the realised market value with the engine's scalar comparison, feedback
-    awaited before the next round.  Because the per-round protocol — and the
-    float round-trip on both wire versions — is identical, the resulting
-    transcript is bit-identical to the offline engine.
+    The socket twin of :func:`repro.serving.loop.serve_closed_loop`: one
+    quote per round, the sale settled against the realised market value
+    with the engine's scalar comparison, feedback awaited before the next
+    round.  v2 carries floats as raw IEEE doubles and the backend drives the
+    same propose/update protocol, so the resulting transcript is
+    bit-identical to the offline engine — through the socket *and* (with a
+    sharded backend) through a process boundary.
     """
     transcript = Transcript.for_materialized(materialized)
     for round_ in stream_rounds(materialized):

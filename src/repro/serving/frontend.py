@@ -2,52 +2,50 @@
 
 :class:`QuoteFrontend` exposes a :class:`~repro.serving.service.QuoteService`
 (or a :class:`~repro.serving.sharding.ShardedRegistry`) over TCP or a unix
-domain socket.  The framing and the two wire formats (length-prefixed JSON
-v1, columnar binary v2) live in :mod:`repro.serving.wire`; both round-trip
-prices and features bit-exactly, which is what lets a closed-loop replay
+domain socket.  The framing and the codecs live in
+:mod:`repro.serving.wire`: quotes, results, feedback and acknowledgements
+cross the socket only as binary v2 batches of tagged items, in both
+directions, and JSON frames carry only control.  v2 moves prices and
+features as raw IEEE doubles, which is what lets a closed-loop replay
 *through the socket* stay bit-identical to the offline engine (pinned by
-``tests/serving/test_frontend.py`` and ``test_wire_v2.py`` for every golden
-family, on both protocol versions).
+``tests/serving/test_frontend.py`` for every golden family).
+:class:`~repro.serving.client.AsyncQuoteClient` is the one client.
 
-Client → server operations (``op`` field):
+Client → server operations:
 
-==================  ========================================================
-``quote``           ``{app, segment, features: [..], reserve: x|null,
-                    id?}`` — enqueue a quote; the response frame arrives
-                    when the micro-batch window drains (``op:
-                    quote_result``, echoing the optional client-chosen
-                    ``id``).
-``quote_batch``     the v2 columnar batch of ``quote`` items (one frame,
-                    one backend submit for the whole batch).
-``feedback``        ``{app, segment, quote_id, accepted}`` →
-                    ``feedback_ok``.
-``feedback_batch``  the v2 columnar batch of ``feedback`` items.
-``hello``           ``{wire: 2}`` → ``{op: hello_ok, wire: 2}`` — upgrade
-                    the connection to the binary v2 responses; JSON v1
-                    stays the default (old clients keep working, old
-                    servers answer ``hello`` with an ``error`` frame and
-                    the client stays on v1).
-``flush``           force a drain → ``{op: flush_ok, drained: n}``.
-``stats``           service/registry counters → ``{op: stats, ...}``.
-``ping``            liveness → ``{op: pong}``.
-==================  ========================================================
+====================  ======================================================
+``quote_batch``       v2: ``quote`` items ``{app, segment, features,
+                      reserve, id}``; each is answered when the micro-batch
+                      window drains, by a ``quote_result`` item with the
+                      same ``id`` in a v2 ``quote_result_batch``.
+``feedback_batch``    v2: ``feedback`` items ``{app, segment, quote_id,
+                      accepted, id}``, each answered by a ``feedback_ok``
+                      item in a v2 ``feedback_ok_batch``.
+``flush``             JSON: force a drain → ``{op: flush_ok, drained: n}``.
+``stats``             JSON: service/registry counters → ``{op: stats, ...}``.
+``ping``              JSON: liveness → ``{op: pong}``.
+====================  ======================================================
 
-Failures arrive as ``{op: error, error: msg, id?, lost_quote_ids: [..]}``;
-a drain failure notifies every connection whose quote was lost or requeued.
+Failures arrive as JSON ``{op: error, error: msg, id?, lost_quote_ids:
+[..]}``; a drain failure notifies every connection whose quote was lost or
+requeued.  Any other JSON op, a JSON ``quote`` or ``feedback`` included,
+gets an unknown-op ``error`` frame.  A body that does not decode (an
+untagged v2 item among the causes) gets an ``error`` frame with ``code:
+"protocol"`` and the server hangs up: the stream is no longer at a frame
+boundary it can trust.
 
 **Per-tick frame dispatch.**  The connection handler reads socket chunks
 into a sans-IO :class:`~repro.serving.wire.FrameDecoder`; every chunk yields
 the *list* of frames that arrived in that event-loop tick.  Consecutive
-``quote`` frames of a tick (and the items of a v2 ``quote_batch``) are
-coalesced into **one** backend ``submit_many`` call — one lock acquisition
-and one executor hop for the whole run, instead of one per frame — and
-consecutive ``feedback`` frames into one ``feedback_many`` call with
-per-event outcomes.  Coalescing never reorders a connection's operations:
-only *adjacent* frames of the same kind merge, so the closed-loop protocol
-(feedback before the next quote) is preserved exactly.  Responses are
-batched symmetrically: each drain writes one connection's responses as a
-single v2 ``quote_result_batch`` frame (or one contiguous v1 buffer), so a
-window of quotes crosses the wire as one frame in each direction.
+quote items of a tick (across batch frames) are coalesced into **one**
+backend ``submit_many`` call — one lock acquisition and one executor hop
+for the whole run — and consecutive feedback items into one
+``feedback_many`` call with per-event outcomes.  Coalescing never reorders
+a connection's operations: only *adjacent* items of the same kind merge, so
+the closed-loop protocol (feedback before the next quote) is preserved
+exactly.  Responses are batched symmetrically: each drain writes one
+connection's results as a single ``quote_result_batch`` frame, so a window
+of quotes crosses the wire as one frame in each direction.
 
 All backend access is serialised behind one lock and pushed off the event
 loop via a dedicated single-worker executor owned by the frontend (no
@@ -80,34 +78,19 @@ make them assertable: ``peak_waiters`` can never exceed ``max_waiters``.
 from __future__ import annotations
 
 import asyncio
-import socket
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
-from repro.engine.arrivals import MaterializedArrivals
-from repro.engine.results import SimulationResult
-from repro.engine.streaming import stream_rounds
-from repro.engine.transcript import Transcript
-from repro.exceptions import BackpressureError, ServingError
+from repro.exceptions import ServingError
 from repro.serving.requests import FeedbackEvent, QuoteRequest, QuoteResponse, SessionKey
-from repro.serving.wire import (  # noqa: F401  (re-exported: historical home)
-    FRAME_HEADER,
-    MAX_FRAME_BYTES,
-    WIRE_V1,
-    WIRE_V2,
+from repro.serving.wire import (
+    Batch,
     FrameDecoder,
-    encode_feedback_batch,
     encode_feedback_ok_batch,
     encode_frame,
-    encode_frames,
-    encode_quote_batch,
     encode_quote_result_batch,
-    read_frame,
 )
 
 #: Socket read size of the per-connection tick loop.
@@ -115,80 +98,21 @@ READ_CHUNK_BYTES = 256 * 1024
 
 
 # --------------------------------------------------------------------------- #
-# Payload codecs (shared by server and clients)
+# Payload codecs
 # --------------------------------------------------------------------------- #
 
 
-def frame_sold_at(result: dict, market_value: float) -> bool:
-    """The engine's sale rule applied to a wire-format ``quote_result`` dict.
-
-    The dict twin of :meth:`~repro.serving.requests.QuoteResponse.sold_at` —
-    one definition of the sale shared by every settle site that works on
-    frames (the socket closed-loop drivers and the networked load driver);
-    the bit-identical equivalence contract depends on all of them agreeing.
-    """
-    posted_price = result.get("posted_price")
-    if result.get("skipped") or posted_price is None:
-        return False
-    return posted_price <= market_value
-
-
-def settle_frame_into_transcript(
-    transcript: Transcript, index: int, result: dict, market_value: float
-) -> bool:
-    """Record one ``quote_result`` frame as an engine-format transcript row.
-
-    The per-round settle step shared by both wire closed-loop drivers
-    (:func:`serve_closed_loop_socket` and :func:`repro.serving.client.
-    serve_closed_loop_async`): decide the sale with :func:`frame_sold_at`,
-    write the price columns only on a posted round, and always record the
-    decision flags.  One definition keeps the bit-identical equivalence
-    contract from drifting between the sync and async paths.  Returns the
-    sale outcome to feed back.
-    """
-    sold = frame_sold_at(result, market_value)
-    if not result["skipped"] and result["posted_price"] is not None:
-        transcript.link_prices[index] = result["link_price"]
-        transcript.posted_prices[index] = result["posted_price"]
-        transcript.sold[index] = sold
-    transcript.skipped[index] = result["skipped"]
-    transcript.exploratory[index] = result["exploratory"]
-    return sold
-
-
-def error_from_frame(frame: dict) -> ServingError:
-    """Rebuild the typed client-side exception of one ``error`` frame.
-
-    Frames with ``code: "backpressure"`` become
-    :class:`~repro.exceptions.BackpressureError` (the request was rejected
-    before submission — retry is safe); everything else is a plain
-    :class:`ServingError` carrying the drain accounting the frame names.
-    """
-    cls = BackpressureError if frame.get("code") == "backpressure" else ServingError
-    return cls(
-        str(frame.get("error")),
-        lost_quote_ids=frame.get("lost_quote_ids") or [],
-    )
-
-
-def request_from_payload(payload: dict) -> QuoteRequest:
-    """Decode a ``quote`` frame into a :class:`QuoteRequest`."""
-    try:
-        key = SessionKey(app=str(payload["app"]), segment=str(payload["segment"]))
-        features = np.asarray(payload["features"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ServingError("malformed quote payload: %s" % exc)
-    reserve = payload.get("reserve")
+def request_from_item(item: dict) -> QuoteRequest:
+    """A decoded ``quote`` item as a :class:`QuoteRequest`."""
     return QuoteRequest(
-        key=key,
-        features=features,
-        reserve=None if reserve is None else float(reserve),
-        metadata=dict(payload.get("metadata") or {}),
+        key=SessionKey(app=item["app"], segment=item["segment"]),
+        features=item["features"],
+        reserve=item["reserve"],
     )
 
 
 def response_to_payload(response: QuoteResponse) -> dict:
-    """Encode a :class:`QuoteResponse` as a ``quote_result`` frame body."""
+    """Encode a :class:`QuoteResponse` as a ``quote_result`` item."""
     return {
         "op": "quote_result",
         "quote_id": response.quote_id,
@@ -213,9 +137,6 @@ class _Connection:
     """Server-side state of one client connection."""
 
     writer: asyncio.StreamWriter
-    #: Negotiated protocol version for *responses* (requests are
-    #: self-describing); upgraded by a ``hello`` frame.
-    wire_version: int = WIRE_V1
     #: Quote ids submitted on this connection and not yet answered — the
     #: per-connection budget and the disconnect cleanup both read this.
     outstanding: Set[int] = field(default_factory=set)
@@ -262,18 +183,15 @@ class BatchSizeHistogram:
 class WireStats:
     """Wire and dispatch counters of one :class:`QuoteFrontend`.
 
-    Frames and bytes are counted per protocol version (in: the actual frame
-    encoding; out: the encoding chosen for the write), and the dispatch
-    histograms attribute the throughput: how many frames arrive per
-    event-loop tick, how many quotes coalesce into one executor hop, and
-    how many responses batch into one write.
+    Frames and bytes in each direction, and the dispatch histograms that
+    attribute the throughput: how many frames arrive per event-loop tick,
+    how many quotes coalesce into one executor hop, and how many responses
+    batch into one write.
     """
 
-    frames_in_v1: int = 0
-    frames_in_v2: int = 0
+    frames_in: int = 0
     bytes_in: int = 0
-    frames_out_v1: int = 0
-    frames_out_v2: int = 0
+    frames_out: int = 0
     bytes_out: int = 0
     ticks: int = 0
     executor_hops: int = 0
@@ -284,8 +202,8 @@ class WireStats:
 
     def as_dict(self) -> dict:
         return {
-            "frames_in": {"v1": self.frames_in_v1, "v2": self.frames_in_v2},
-            "frames_out": {"v1": self.frames_out_v1, "v2": self.frames_out_v2},
+            "frames_in": self.frames_in,
+            "frames_out": self.frames_out,
             "bytes_in": self.bytes_in,
             "bytes_out": self.bytes_out,
             "ticks": self.ticks,
@@ -315,14 +233,13 @@ class FrontendStats:
 
 
 class QuoteFrontend:
-    """Socket server (JSON v1 / binary v2) over a quote-serving backend.
+    """Socket server (v2 data plane, JSON control) over a serving backend.
 
-    ``backend`` is anything with the service surface this module drives:
-    ``submit(request) -> quote_id``, ``poll() -> [QuoteResponse]``,
-    ``flush() -> [QuoteResponse]``, ``feedback_batch(events)`` — i.e. a
-    :class:`QuoteService` or a :class:`ShardedRegistry`.  The batched
-    entry points (``submit_many``, ``feedback_many``) are used when the
-    backend provides them, with a single-hop fallback otherwise.
+    ``backend`` must provide the service surface this module drives:
+    ``submit_many(requests) -> [quote_id]``, ``feedback_many(events) ->
+    [outcome]``, ``poll() -> [QuoteResponse]`` and ``flush() ->
+    [QuoteResponse]``.  :class:`QuoteService` and :class:`ShardedRegistry`
+    both do.
 
     The three backpressure bounds (see the module docstring): ``max_waiters``
     caps the waiter map across all connections,
@@ -491,8 +408,7 @@ class QuoteFrontend:
         """Deliver one drain's responses, batched per connection.
 
         All of a connection's responses from this drain leave as **one**
-        transport write — a single v2 ``quote_result_batch`` frame on an
-        upgraded connection, one contiguous buffer of v1 frames otherwise.
+        transport write: a single ``quote_result_batch`` frame.
         """
         by_connection: Dict[_Connection, List[dict]] = {}
         for response in responses:
@@ -501,8 +417,7 @@ class QuoteFrontend:
                 continue
             connection.outstanding.discard(response.quote_id)
             payload = response_to_payload(response)
-            if client_id is not None:
-                payload["id"] = client_id
+            payload["id"] = client_id
             by_connection.setdefault(connection, []).append(payload)
         for connection, payloads in by_connection.items():
             self.wire_stats.response_batch.record(len(payloads))
@@ -523,22 +438,21 @@ class QuoteFrontend:
             if connection is None:
                 continue
             connection.outstanding.discard(quote_id)
-            payload = {
-                "op": "error",
-                "code": "drain",
-                "error": str(exc),
-                "quote_id": quote_id,
-                "lost_quote_ids": list(exc.lost_quote_ids),
-            }
-            if client_id is not None:
-                payload["id"] = client_id
-            self._write(connection, payload)
+            self._write(
+                connection,
+                {
+                    "op": "error",
+                    "code": "drain",
+                    "error": str(exc),
+                    "quote_id": quote_id,
+                    "lost_quote_ids": list(exc.lost_quote_ids),
+                    "id": client_id,
+                },
+            )
 
     # -- writes (never await a slow reader) ------------------------------ #
 
-    def _write_raw(
-        self, connection: _Connection, data: bytes, v1_frames: int = 0, v2_frames: int = 0
-    ) -> None:
+    def _write_raw(self, connection: _Connection, data: bytes, frames: int) -> None:
         """Write one pre-encoded buffer without ever awaiting a slow reader.
 
         ``StreamWriter.drain()`` would block the drain task behind a client
@@ -555,55 +469,39 @@ class QuoteFrontend:
         except (ConnectionResetError, BrokenPipeError, OSError):
             return
         self.wire_stats.bytes_out += len(data)
-        self.wire_stats.frames_out_v1 += v1_frames
-        self.wire_stats.frames_out_v2 += v2_frames
+        self.wire_stats.frames_out += frames
         if writer.transport.get_write_buffer_size() > self.max_write_buffer_bytes:
             self._abort_slow_reader(connection)
 
     def _write(self, connection: _Connection, payload: dict) -> None:
-        """Write one JSON frame (housekeeping, errors, v1 responses)."""
-        self._write_raw(connection, encode_frame(payload), v1_frames=1)
+        """Write one JSON frame (control replies and errors)."""
+        self._write_raw(connection, encode_frame(payload), 1)
 
     def _write_many(self, connection: _Connection, payloads: Sequence[dict]) -> None:
         """Write one tick's response payloads as a single transport buffer.
 
-        On a v2 connection the homogeneous hot payloads collapse into
-        columnar batch frames (``quote_result_batch`` for tagged results,
-        ``feedback_ok_batch`` for tagged acks — v2 clients correlate by
-        tag, so regrouping is safe); everything else stays JSON.  On a v1
-        connection every payload is a JSON frame, concatenated into one
-        buffer in exactly the given order (tagless v1 clients rely on frame
-        order).
+        Results collapse into one ``quote_result_batch`` frame and acks into
+        one ``feedback_ok_batch`` frame; errors follow as JSON frames.  The
+        client correlates by tag, so the regrouping is safe.
         """
-        if not payloads:
-            return
-        if connection.wire_version >= WIRE_V2:
-            results = []
-            ok_tags = []
-            rest = []
-            for payload in payloads:
-                op = payload.get("op")
-                if op == "quote_result" and payload.get("id") is not None:
-                    results.append(payload)
-                elif op == "feedback_ok" and payload.get("id") is not None:
-                    ok_tags.append(payload["id"])
-                else:
-                    rest.append(payload)
-            buffers = []
-            v2_frames = 0
-            if results:
-                buffers.append(encode_quote_result_batch(results))
-                v2_frames += 1
-            if ok_tags:
-                buffers.append(encode_feedback_ok_batch(ok_tags))
-                v2_frames += 1
-            if rest:
-                buffers.append(encode_frames(rest))
-            self._write_raw(
-                connection, b"".join(buffers), v1_frames=len(rest), v2_frames=v2_frames
-            )
-        else:
-            self._write_raw(connection, encode_frames(payloads), v1_frames=len(payloads))
+        results = []
+        ok_tags = []
+        errors = []
+        for payload in payloads:
+            if payload["op"] == "quote_result":
+                results.append(payload)
+            elif payload["op"] == "feedback_ok":
+                ok_tags.append(payload["id"])
+            else:
+                errors.append(payload)
+        frames = []
+        if results:
+            frames.append(encode_quote_result_batch(results))
+        if ok_tags:
+            frames.append(encode_feedback_ok_batch(ok_tags))
+        frames.extend(encode_frame(payload) for payload in errors)
+        if frames:
+            self._write_raw(connection, b"".join(frames), len(frames))
 
     def _abort_slow_reader(self, connection: _Connection) -> None:
         connection.aborted = True
@@ -666,43 +564,33 @@ class QuoteFrontend:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    def _count_frame_in(self, version: int, nbytes: int) -> None:
+    def _count_frame_in(self, nbytes: int) -> None:
         self.wire_stats.bytes_in += nbytes
-        if version >= WIRE_V2:
-            self.wire_stats.frames_in_v2 += 1
-        else:
-            self.wire_stats.frames_in_v1 += 1
+        self.wire_stats.frames_in += 1
 
     async def _dispatch_tick(self, frames: List[dict], connection: _Connection) -> None:
         """Dispatch every frame parsed in one event-loop tick, coalesced.
 
         Batch frames are expanded to their items; consecutive runs of the
-        same hot kind (``quote`` / ``feedback``) become one batched backend
-        call each.  Adjacent-run coalescing preserves the connection's
-        operation order exactly — a feedback between two quotes still
-        applies between them.
+        same kind (``quote`` / ``feedback``) become one batched backend call
+        each.  Adjacent-run coalescing preserves the connection's operation
+        order exactly — a feedback between two quotes still applies between
+        them.  Every other frame is a control op, dispatched on its own.
         """
         self.wire_stats.ticks += 1
         self.wire_stats.frames_per_tick.record(len(frames))
         ops: List[Tuple[str, dict]] = []
         for frame in frames:
-            # A valid-JSON body need not be an object; surface junk as an
-            # unknown-op error instead of crashing the handler.
-            if not isinstance(frame, dict):
-                ops.append(("other", {"op": frame}))
-                continue
-            op = frame.get("op")
-            if op in ("quote_batch", "feedback_batch"):
-                kind = "quote" if op == "quote_batch" else "feedback"
-                for item in frame.get("items") or []:
-                    if isinstance(item, dict):
-                        ops.append((kind, item))
-                    else:
-                        ops.append(("other", {"op": item}))
-            elif op in ("quote", "feedback"):
-                ops.append((op, frame))
-            else:
+            if isinstance(frame, Batch) and frame["op"] == "quote_batch":
+                ops.extend(("quote", item) for item in frame["items"])
+            elif isinstance(frame, Batch) and frame["op"] == "feedback_batch":
+                ops.extend(("feedback", item) for item in frame["items"])
+            elif isinstance(frame, dict):
                 ops.append(("other", frame))
+            else:
+                # A valid-JSON body need not be an object; surface junk as
+                # an unknown-op error instead of crashing the handler.
+                ops.append(("other", {"op": frame}))
         index = 0
         while index < len(ops):
             kind = ops[index][0]
@@ -758,89 +646,72 @@ class QuoteFrontend:
         bounds hold exactly as they do for per-frame dispatch.
         """
         out: List[dict] = []
-        parsed: List[Tuple[Any, QuoteRequest]] = []
-        for item in items:
-            tag = item.get("id")
-            try:
-                parsed.append((tag, request_from_payload(item)))
-            except (ServingError, TypeError, ValueError) as exc:
-                out.append({"op": "error", "error": str(exc), "id": tag})
         admitted: List[Tuple[Any, QuoteRequest]] = []
-        if parsed:
-            loop = asyncio.get_running_loop()
-            # Registering the waiters must be atomic with the submit w.r.t.
-            # the drain task's poll (both hold the backend lock), or a drain
-            # racing in between could produce a response before anyone is
-            # listening for it.
-            async with self._lock:
-                for tag, request in parsed:
-                    rejection = self._admit_quote(connection, len(admitted))
-                    if rejection is not None:
-                        out.append(
-                            {
-                                "op": "error",
-                                "code": "backpressure",
-                                "error": "quote rejected: %s" % rejection,
-                                "id": tag,
-                            }
+        loop = asyncio.get_running_loop()
+        # Registering the waiters must be atomic with the submit w.r.t.
+        # the drain task's poll (both hold the backend lock), or a drain
+        # racing in between could produce a response before anyone is
+        # listening for it.
+        async with self._lock:
+            for item in items:
+                rejection = self._admit_quote(connection, len(admitted))
+                if rejection is not None:
+                    out.append(
+                        {
+                            "op": "error",
+                            "code": "backpressure",
+                            "error": "quote rejected: %s" % rejection,
+                            "id": item["id"],
+                        }
+                    )
+                    continue
+                admitted.append((item["id"], request_from_item(item)))
+            if admitted:
+                requests = [request for _tag, request in admitted]
+                self.wire_stats.submit_batch.record(len(requests))
+                try:
+                    quote_ids = await self._run_in_executor(
+                        loop, self.backend.submit_many, requests
+                    )
+                except (ServingError, TypeError, ValueError) as exc:
+                    # A sharded backend reports partial failure with the
+                    # per-position ids it *did* enqueue (None = never
+                    # enqueued).  Those quotes will be served — register
+                    # their waiters; answering them with errors here
+                    # would orphan their responses and strand their
+                    # decisions pending forever on healthy workers.
+                    partial = getattr(exc, "submitted_quote_ids", None)
+                    if partial is None or not self._running:
+                        partial = [None] * len(admitted)
+                    survivors = []
+                    for (tag, request), quote_id in zip(admitted, partial):
+                        if quote_id is None:
+                            out.append(
+                                {"op": "error", "error": str(exc), "id": tag}
+                            )
+                            continue
+                        self._waiters[quote_id] = (connection, tag)
+                        connection.outstanding.add(quote_id)
+                        survivors.append((tag, request))
+                    if survivors:
+                        self.stats.peak_waiters = max(
+                            self.stats.peak_waiters, len(self._waiters)
                         )
-                        continue
-                    admitted.append((tag, request))
-                if admitted:
-                    requests = [request for _tag, request in admitted]
-                    self.wire_stats.submit_batch.record(len(requests))
-                    try:
-                        quote_ids = await self._submit_many(loop, requests)
-                    except (ServingError, TypeError, ValueError) as exc:
-                        # A sharded backend reports partial failure with the
-                        # per-position ids it *did* enqueue (None = never
-                        # enqueued).  Those quotes will be served — register
-                        # their waiters; answering them with errors here
-                        # would orphan their responses and strand their
-                        # decisions pending forever on healthy workers.
-                        partial = getattr(exc, "submitted_quote_ids", None)
-                        if partial is None or not self._running:
-                            partial = [None] * len(admitted)
-                        survivors = []
-                        for (tag, request), quote_id in zip(admitted, partial):
-                            if quote_id is None:
-                                out.append(
-                                    {"op": "error", "error": str(exc), "id": tag}
-                                )
-                                continue
+                    admitted = survivors
+                else:
+                    # A stop() racing this submit has already cleared
+                    # the waiter map; registering now would leak the
+                    # entries forever (nothing routes after shutdown).
+                    if self._running:
+                        for (tag, _request), quote_id in zip(admitted, quote_ids):
                             self._waiters[quote_id] = (connection, tag)
                             connection.outstanding.add(quote_id)
-                            survivors.append((tag, request))
-                        if survivors:
-                            self.stats.peak_waiters = max(
-                                self.stats.peak_waiters, len(self._waiters)
-                            )
-                        admitted = survivors
-                    else:
-                        # A stop() racing this submit has already cleared
-                        # the waiter map; registering now would leak the
-                        # entries forever (nothing routes after shutdown).
-                        if self._running:
-                            for (tag, _request), quote_id in zip(admitted, quote_ids):
-                                self._waiters[quote_id] = (connection, tag)
-                                connection.outstanding.add(quote_id)
-                            self.stats.peak_waiters = max(
-                                self.stats.peak_waiters, len(self._waiters)
-                            )
-        if out:
-            self._write_many(connection, out)
+                        self.stats.peak_waiters = max(
+                            self.stats.peak_waiters, len(self._waiters)
+                        )
+        self._write_many(connection, out)
         if admitted:
             self._kick.set()
-
-    async def _submit_many(self, loop, requests: List[QuoteRequest]) -> List[int]:
-        """One executor hop enqueueing a batch (lock already held)."""
-        submit_many = getattr(self.backend, "submit_many", None)
-        if submit_many is not None:
-            return await self._run_in_executor(loop, submit_many, requests)
-        submit = self.backend.submit
-        return await self._run_in_executor(
-            loop, lambda: [submit(request) for request in requests]
-        )
 
     async def _dispatch_feedbacks(
         self, items: Sequence[dict], connection: _Connection
@@ -851,74 +722,33 @@ class QuoteFrontend:
         acknowledged (``feedback_ok``) or answered with its own ``error``
         frame — the same observable granularity as per-frame dispatch.
         """
-        out: List[dict] = []
-        events: List[Tuple[Any, FeedbackEvent]] = []
-        for item in items:
-            tag = item.get("id")
-            try:
-                event = FeedbackEvent(
-                    key=SessionKey(
-                        app=str(item["app"]), segment=str(item["segment"])
-                    ),
-                    quote_id=int(item["quote_id"]),
-                    accepted=bool(item["accepted"]),
-                )
-            except KeyError as exc:
-                out.append(
-                    {"op": "error", "error": "missing field %s" % exc, "id": tag}
-                )
-                continue
-            except (TypeError, ValueError) as exc:
-                out.append({"op": "error", "error": str(exc), "id": tag})
-                continue
-            events.append((tag, event))
-        if events:
-            self.wire_stats.feedback_batch.record(len(events))
-            try:
-                outcomes = await self._feedback_many([event for _tag, event in events])
-            except ServingError as exc:
-                outcomes = [exc] * len(events)
-            for (tag, _event), outcome in zip(events, outcomes):
-                if outcome is None:
-                    out.append({"op": "feedback_ok", "id": tag})
-                else:
-                    out.append({"op": "error", "error": str(outcome), "id": tag})
+        events = [
+            FeedbackEvent(
+                key=SessionKey(app=item["app"], segment=item["segment"]),
+                quote_id=item["quote_id"],
+                accepted=item["accepted"],
+            )
+            for item in items
+        ]
+        self.wire_stats.feedback_batch.record(len(events))
+        try:
+            outcomes = await self._backend_call("feedback_many", events)
+        except ServingError as exc:
+            outcomes = [exc] * len(events)
+        out = []
+        for item, outcome in zip(items, outcomes):
+            if outcome is None:
+                out.append({"op": "feedback_ok", "id": item["id"]})
+            else:
+                out.append({"op": "error", "error": str(outcome), "id": item["id"]})
         self._write_many(connection, out)
 
-    async def _feedback_many(self, events: List[FeedbackEvent]) -> List:
-        """One executor hop applying a feedback window; per-event outcomes."""
-        loop = asyncio.get_running_loop()
-        feedback_many = getattr(self.backend, "feedback_many", None)
-        async with self._lock:
-            if feedback_many is not None:
-                return await self._run_in_executor(loop, feedback_many, events)
-            feedback_batch = self.backend.feedback_batch
-
-            def _fallback():
-                outcomes = []
-                for event in events:
-                    try:
-                        feedback_batch([event])
-                        outcomes.append(None)
-                    except (ServingError, TypeError, ValueError) as exc:
-                        outcomes.append(exc)
-                return outcomes
-
-            return await self._run_in_executor(loop, _fallback)
-
     async def _dispatch(self, message: dict, connection: _Connection) -> None:
-        """Housekeeping operations (one frame each; never coalesced)."""
+        """Control operations (one JSON frame each; never coalesced)."""
         op = message.get("op")
         client_id = message.get("id")
         try:
-            if op == "hello":
-                requested = message.get("wire", WIRE_V1)
-                agreed = WIRE_V2 if int(requested) >= WIRE_V2 else WIRE_V1
-                connection.wire_version = agreed
-                self._write(
-                    connection, {"op": "hello_ok", "wire": agreed, "id": client_id}
-                )
-            elif op == "flush":
+            if op == "flush":
                 drained = await self._drain_once("flush")
                 self._write(
                     connection, {"op": "flush_ok", "drained": drained, "id": client_id}
@@ -1070,179 +900,4 @@ def start_frontend_thread(
     address = unix_path if unix_path is not None else frontend.addresses[0]
     return FrontendHandle(
         frontend=frontend, thread=thread, loop=loop_holder[0], address=address
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Synchronous client
-# --------------------------------------------------------------------------- #
-
-
-class QuoteSocketClient:
-    """Blocking client speaking the frontend protocol (JSON v1 by default).
-
-    One outstanding request at a time per client: frames on a connection are
-    ordered, so after a ``quote`` the next ``quote_result``/``error`` frame
-    answers it.  For concurrent traffic open several clients (the server
-    multiplexes connections).
-
-    Pass ``wire=2`` to negotiate the binary v2 protocol: quotes and
-    feedback then travel as columnar batch frames (of one item each on this
-    single-outstanding client) and responses arrive as v2 batches.  Against
-    an old server the ``hello`` is answered with an ``error`` frame and the
-    client silently stays on v1.
-    """
-
-    def __init__(
-        self,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-        unix_path: Optional[str] = None,
-        timeout: float = 30.0,
-        wire: int = WIRE_V1,
-    ) -> None:
-        if (unix_path is None) == (host is None) or (
-            unix_path is None and port is None
-        ):
-            raise ValueError("pass exactly one of host/port or unix_path")
-        if unix_path is not None:
-            self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._sock.settimeout(timeout)
-            self._sock.connect(unix_path)
-        else:
-            self._sock = socket.create_connection((host, int(port)), timeout=timeout)
-        self._decoder = FrameDecoder()
-        self._frames: "deque[dict]" = deque()
-        self._next_tag = 0
-        self.wire = WIRE_V1
-        if wire >= WIRE_V2:
-            self._negotiate(wire)
-
-    # -- framing -------------------------------------------------------- #
-
-    def _send(self, payload: dict) -> None:
-        self._sock.sendall(encode_frame(payload))
-
-    def _tag(self) -> int:
-        self._next_tag += 1
-        return self._next_tag
-
-    def _negotiate(self, version: int) -> None:
-        self._send({"op": "hello", "wire": int(version)})
-        frame = self.read_frame()
-        if frame.get("op") == "hello_ok":
-            self.wire = int(frame.get("wire", WIRE_V1))
-        # An error frame (old server): stay on v1 — every op still works.
-
-    def read_frame(self) -> dict:
-        while not self._frames:
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                raise ServingError("server closed the connection mid-frame")
-            for frame in self._decoder.feed(chunk):
-                if frame.get("op") in ("quote_result_batch", "feedback_ok_batch"):
-                    self._frames.extend(frame["items"])
-                else:
-                    self._frames.append(frame)
-        return self._frames.popleft()
-
-    def _expect(self, op: str) -> dict:
-        frame = self.read_frame()
-        if frame.get("op") == "error":
-            raise error_from_frame(frame)
-        if frame.get("op") != op:
-            raise ServingError("expected %r frame, got %r" % (op, frame.get("op")))
-        return frame
-
-    # -- operations ----------------------------------------------------- #
-
-    def quote(self, key: SessionKey, features, reserve: Optional[float] = None) -> dict:
-        """Request one quote and block until its result frame arrives."""
-        payload = {
-            "op": "quote",
-            "app": key.app,
-            "segment": key.segment,
-            "features": [float(value) for value in np.asarray(features, dtype=float)],
-            "reserve": None if reserve is None else float(reserve),
-        }
-        if self.wire >= WIRE_V2:
-            payload["id"] = self._tag()
-            self._sock.sendall(encode_quote_batch([payload]))
-        else:
-            self._send(payload)
-        return self._expect("quote_result")
-
-    def feedback(self, key: SessionKey, quote_id: int, accepted: bool) -> None:
-        payload = {
-            "op": "feedback",
-            "app": key.app,
-            "segment": key.segment,
-            "quote_id": int(quote_id),
-            "accepted": bool(accepted),
-        }
-        if self.wire >= WIRE_V2:
-            payload["id"] = self._tag()
-            self._sock.sendall(encode_feedback_batch([payload]))
-        else:
-            self._send(payload)
-        self._expect("feedback_ok")
-
-    def flush(self) -> int:
-        self._send({"op": "flush"})
-        return int(self._expect("flush_ok")["drained"])
-
-    def stats(self) -> dict:
-        self._send({"op": "stats"})
-        return self._expect("stats")
-
-    def ping(self) -> None:
-        self._send({"op": "ping"})
-        self._expect("pong")
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "QuoteSocketClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-# --------------------------------------------------------------------------- #
-# Closed-loop replay through the socket
-# --------------------------------------------------------------------------- #
-
-
-def serve_closed_loop_socket(
-    client: QuoteSocketClient,
-    key: SessionKey,
-    materialized: MaterializedArrivals,
-    pricer_name: Optional[str] = None,
-) -> SimulationResult:
-    """Drive one session through a materialised market *over the socket*.
-
-    The socket twin of :func:`repro.serving.loop.serve_closed_loop`: one
-    quote per round, the sale settled against the realised market value with
-    the same scalar comparison, feedback applied before the next round.
-    Because both wire formats round-trip floats exactly (shortest-repr JSON
-    on v1, raw IEEE doubles on v2) and the backend drives the same
-    propose/update protocol, the resulting transcript is bit-identical to
-    the offline engine — through the socket *and* (with a sharded backend)
-    through a process boundary.
-    """
-    transcript = Transcript.for_materialized(materialized)
-    for round_ in stream_rounds(materialized):
-        result = client.quote(key, round_.features, reserve=round_.reserve)
-        sold = settle_frame_into_transcript(
-            transcript, round_.index, result, round_.market_value
-        )
-        client.feedback(key, result["quote_id"], sold)
-    transcript.finalize_regrets()
-    return SimulationResult(
-        pricer_name=pricer_name if pricer_name is not None else str(key),
-        transcript=transcript,
     )

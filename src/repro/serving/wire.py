@@ -1,47 +1,34 @@
 """Wire protocol of the quote-serving socket layer: framing + codecs.
 
 Every frame on a serving connection is a 4-byte big-endian unsigned length
-followed by that many bytes of body.  Two body encodings share the stream:
+followed by that many bytes of body.  The first body byte tells the two
+body encodings apart: a v2 body starts with NUL (``\\x00``), which can never
+begin a JSON text.
 
-* **v1 (JSON, the default)** — the body is UTF-8 JSON.  Python's ``json``
-  emits shortest round-trip ``repr`` floats, so prices and features survive
-  the wire bit-exactly; that exactness is load-bearing for the serving
-  equivalence contract (a closed-loop replay through the socket is
-  bit-identical to the offline engine).
-* **v2 (binary, batched)** — the body starts with a fixed ``struct`` header
-  ``(magic, version, opcode, count)`` and carries a **columnar payload** for
-  a whole batch of quotes / results / feedback events: a key string table,
-  packed ``int64`` id arrays, ``float64`` price and feature arrays
-  (``tobytes``-exact — raw IEEE doubles, so the bit-exactness contract holds
-  trivially), and one flags byte per item for optional fields.  One frame
-  moves a whole micro-batch window across the socket instead of one frame
-  per quote.
+* **The data plane is binary v2 batches, in both directions.**  A body
+  starts with a fixed ``struct`` header ``(magic, version, opcode, count)``
+  and carries a **columnar payload** for a whole batch of quotes, results,
+  feedback events or acknowledgements: a key string table, packed
+  ``int64`` id arrays, ``float64`` price and feature arrays (``tobytes``,
+  raw IEEE doubles, so prices and features cross the wire bit for bit:
+  the serving equivalence contract rests on that), and one flags byte per
+  item for optional fields.  One frame moves a whole micro-batch window
+  across the socket.  Every item carries its request tag (``id``): the
+  client correlates replies by tag, never by order, and a body with an
+  untagged item is a protocol error, like any other undecodable body.
+* **JSON carries only control.**  The ``flush``, ``stats`` and ``ping``
+  ops, their replies and ``error`` frames are UTF-8 JSON bodies: they are
+  rare, and debuggability wins.
 
-The first body byte disambiguates: a v2 body starts with NUL (``\\x00``),
-which can never begin a JSON text, so v1 and v2 frames interleave freely on
-one connection.  Only the four hot operations have v2 encodings
-(``quote_batch``, ``quote_result_batch``, ``feedback_batch``,
-``feedback_ok_batch``); housekeeping ops (``hello``, ``ping``, ``stats``,
-``flush``) and ``error`` frames stay JSON even on a v2 connection — they are
-rare and debuggability wins.
-
-**Negotiation.**  A connection starts in v1.  A client that wants the
-binary path sends ``{"op": "hello", "wire": 2}``; a v2-aware server replies
-``{"op": "hello_ok", "wire": 2}`` and from then on both sides may send v2
-frames (the server batches its responses per drain into single v2 frames).
-An old server answers ``hello`` with an ``error`` frame — the client simply
-stays on v1, so new clients keep working against old servers and vice
-versa.
-
-Decoded v2 frames surface as plain dicts (``{"op": "quote_batch",
-"items": [...]}``) whose items are shaped exactly like the corresponding v1
-payloads, so the dispatch and settle code paths are shared between the two
-protocol versions.
+Decoded v2 frames surface as :class:`Batch` dicts (``{"op":
+"quote_batch", "items": [...]}``) whose items are ``quote``,
+``quote_result``, ``feedback`` or ``feedback_ok`` dicts; a JSON frame
+decodes to whatever its text holds, so only a :class:`Batch` is ever taken
+for data-plane traffic.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import struct
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -56,8 +43,7 @@ FRAME_HEADER = struct.Struct(">I")
 #: Upper bound on a single frame (defensive: a corrupt header must not OOM).
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
-#: Protocol versions a connection can speak.
-WIRE_V1 = 1
+#: The version byte of every v2 body header.
 WIRE_V2 = 2
 
 #: First bytes of every v2 body.  The leading NUL can never start a JSON
@@ -72,7 +58,9 @@ OP_QUOTE_RESULT_BATCH = 2
 OP_FEEDBACK_BATCH = 3
 OP_FEEDBACK_OK_BATCH = 4
 
-#: Flags byte of one v2 item (meaning depends on the opcode).
+#: Flags byte of one v2 item (meaning depends on the opcode).  Every item
+#: sets ``_HAS_TAG``; the bit stays in the format so an untagged item is
+#: detected, not misread.
 _HAS_TAG = 1 << 0
 _HAS_RESERVE = 1 << 1  # quote_batch
 _EXPLORATORY = 1 << 1  # quote_result_batch
@@ -85,12 +73,12 @@ _U16 = struct.Struct(">H")
 
 
 # --------------------------------------------------------------------------- #
-# Framing (shared by both protocol versions)
+# Framing
 # --------------------------------------------------------------------------- #
 
 
 def decode_frame_body(body: bytes) -> dict:
-    """Decode one frame body, auto-detecting the protocol version."""
+    """Decode one frame body: a v2 batch, or a JSON control frame."""
     if body[:1] == b"\x00":
         return decode_v2_body(body)
     try:
@@ -99,27 +87,9 @@ def decode_frame_body(body: bytes) -> dict:
         raise ServingError("undecodable frame body: %s" % exc)
 
 
-def frame_version(body: bytes) -> int:
-    """The protocol version of one frame body (for the wire counters)."""
-    return WIRE_V2 if body[:1] == b"\x00" else WIRE_V1
-
-
 def encode_frame(payload: dict) -> bytes:
-    """One length-prefixed JSON (v1) frame."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise ServingError("frame of %d bytes exceeds the %d-byte bound"
-                           % (len(body), MAX_FRAME_BYTES))
-    return FRAME_HEADER.pack(len(body)) + body
-
-
-def encode_frames(payloads: Sequence[dict]) -> bytes:
-    """Many v1 frames as **one** contiguous buffer.
-
-    The batched write path: one tick's responses hit the transport as a
-    single ``write`` instead of one header+body copy per frame.
-    """
-    return b"".join(encode_frame(payload) for payload in payloads)
+    """One length-prefixed JSON control frame."""
+    return _framed(json.dumps(payload, separators=(",", ":")).encode("utf-8"))
 
 
 def _framed(body: bytes) -> bytes:
@@ -134,23 +104,23 @@ class FrameDecoder:
 
     Feed it byte chunks as they arrive — at *any* split points, including
     mid-header and mid-body — and it yields the completed frames in order
-    (v1 JSON and v2 binary bodies interleaved freely).  A truncated frame
-    simply stays buffered until the remaining bytes arrive; an oversized
-    length header or an undecodable body raises :class:`ServingError`
-    (after which the stream is no longer at a frame boundary and the
-    connection must be dropped).  Shared by the server and both clients,
-    and pinned by the hypothesis round-trip tiers
+    (v2 batches and JSON control frames interleaved freely).  A truncated
+    frame simply stays buffered until the remaining bytes arrive; an
+    oversized length header or an undecodable body raises
+    :class:`ServingError` (after which the stream is no longer at a frame
+    boundary and the connection must be dropped).  Shared by the server and
+    the client, and pinned by the hypothesis round-trip tiers
     (``tests/serving/test_wire_protocol.py``, ``test_wire_v2.py``).
 
-    ``on_frame``, when given, is called with ``(version, nbytes)`` for every
-    decoded frame (``nbytes`` includes the 4-byte length prefix) — the hook
-    the frontend's wire counters use.
+    ``on_frame``, when given, is called with the byte size of every decoded
+    frame (the 4-byte length prefix included): the hook the frontend's wire
+    counters use.
     """
 
     def __init__(
         self,
         max_frame_bytes: int = MAX_FRAME_BYTES,
-        on_frame: Optional[Callable[[int, int], None]] = None,
+        on_frame: Optional[Callable[[int], None]] = None,
     ) -> None:
         self._buffer = bytearray()
         self._max_frame_bytes = max_frame_bytes
@@ -177,32 +147,8 @@ class FrameDecoder:
             del self._buffer[:end]
             frames.append(decode_frame_body(body))
             if self._on_frame is not None:
-                self._on_frame(frame_version(body), end)
+                self._on_frame(end)
         return frames
-
-
-async def read_frame(reader: asyncio.StreamReader) -> Optional[dict]:
-    """Read one frame (either version); ``None`` on EOF or a dead connection.
-
-    ``OSError`` covers more than a reset: a *write* to a disconnected peer
-    poisons the stream reader with the same ``BrokenPipeError`` (asyncio
-    delivers one ``connection_lost`` exception to both directions), and a
-    reader that re-raised it would crash the connection handler instead of
-    letting it clean up — treat every transport-level failure as EOF.
-    """
-    try:
-        header = await reader.readexactly(FRAME_HEADER.size)
-    except (asyncio.IncompleteReadError, OSError):
-        return None
-    (length,) = FRAME_HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ServingError("frame length %d exceeds the %d-byte bound"
-                           % (length, MAX_FRAME_BYTES))
-    try:
-        body = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, OSError):
-        return None
-    return decode_frame_body(body)
 
 
 # --------------------------------------------------------------------------- #
@@ -235,18 +181,19 @@ def _key_table(payloads: Sequence[dict]) -> Tuple[bytes, np.ndarray]:
 
 
 def _tag_column(payloads: Sequence[dict], flags: np.ndarray) -> np.ndarray:
-    """Per-item request tag (``id``) as int64; absence recorded in flags."""
-    tags = np.zeros(len(payloads), dtype=">i8")
+    """Per-item request tag (``id``) as int64; every item must carry one."""
+    tags = np.empty(len(payloads), dtype=">i8")
     for position, payload in enumerate(payloads):
         tag = payload.get("id")
-        if tag is not None:
-            flags[position] |= _HAS_TAG
-            tags[position] = int(tag)
+        if tag is None:
+            raise ServingError("v2 item without a request tag")
+        tags[position] = int(tag)
+    flags |= _HAS_TAG
     return tags
 
 
 def encode_quote_batch(payloads: Sequence[dict]) -> bytes:
-    """A batch of v1-shaped ``quote`` payloads as one v2 frame.
+    """A batch of tagged ``quote`` payloads as one v2 frame.
 
     Features land as raw IEEE float64 (``tobytes``), concatenated flat with
     a per-item length column — sessions with different feature dimensions
@@ -289,7 +236,7 @@ def encode_quote_batch(payloads: Sequence[dict]) -> bytes:
 
 
 def encode_quote_result_batch(payloads: Sequence[dict]) -> bytes:
-    """A batch of v1-shaped ``quote_result`` payloads as one v2 frame."""
+    """A batch of tagged ``quote_result`` payloads as one v2 frame."""
     count = len(payloads)
     flags = np.zeros(count, dtype=np.uint8)
     tags = _tag_column(payloads, flags)
@@ -331,7 +278,7 @@ def encode_quote_result_batch(payloads: Sequence[dict]) -> bytes:
 
 
 def encode_feedback_batch(payloads: Sequence[dict]) -> bytes:
-    """A batch of v1-shaped ``feedback`` payloads as one v2 frame."""
+    """A batch of tagged ``feedback`` payloads as one v2 frame."""
     count = len(payloads)
     flags = np.zeros(count, dtype=np.uint8)
     tags = _tag_column(payloads, flags)
@@ -366,6 +313,14 @@ def encode_feedback_ok_batch(tags: Sequence[int]) -> bytes:
 # --------------------------------------------------------------------------- #
 # v2 decode
 # --------------------------------------------------------------------------- #
+
+
+class Batch(dict):
+    """A decoded v2 body: ``{"op": "quote_batch", "items": [...]}``.
+
+    A type of its own, so a JSON control frame that names a batch op is
+    never taken for data-plane traffic.
+    """
 
 
 class _Cursor:
@@ -407,6 +362,13 @@ class _Cursor:
             )
 
 
+def _read_flags(cursor: _Cursor, count: int) -> np.ndarray:
+    flags = cursor.array("u1", count)
+    if not np.all(flags & _HAS_TAG):
+        raise ServingError("v2 item without a request tag")
+    return flags
+
+
 def _read_keys(cursor: _Cursor, count: int) -> Tuple[List[Tuple[str, str]], np.ndarray]:
     table = [(cursor.text(), cursor.text()) for _ in range(cursor.u16())]
     key_index = cursor.array(">u2", count)
@@ -417,13 +379,13 @@ def _read_keys(cursor: _Cursor, count: int) -> Tuple[List[Tuple[str, str]], np.n
     return table, key_index
 
 
-def decode_v2_body(body: bytes) -> dict:
-    """One v2 binary body → an op dict with v1-shaped ``items``.
+def decode_v2_body(body: bytes) -> Batch:
+    """One v2 binary body → a :class:`Batch` of its ``items``.
 
     Raises :class:`ServingError` on a bad magic, an unknown version or
-    opcode, truncation, or trailing garbage — the stream is then no longer
-    trustworthy and the connection must be dropped (same contract as an
-    undecodable JSON body).
+    opcode, an untagged item, truncation, or trailing garbage — the stream
+    is then no longer trustworthy and the connection must be dropped (same
+    contract as an undecodable JSON body).
     """
     if len(body) < V2_HEADER.size:
         raise ServingError("v2 frame shorter than its header")
@@ -442,10 +404,10 @@ def decode_v2_body(body: bytes) -> dict:
         result = _decode_feedback_batch(cursor, count)
     elif opcode == OP_FEEDBACK_OK_BATCH:
         tags = cursor.array(">i8", count)
-        result = {
-            "op": "feedback_ok_batch",
-            "items": [{"op": "feedback_ok", "id": int(tag)} for tag in tags],
-        }
+        result = Batch(
+            op="feedback_ok_batch",
+            items=[{"op": "feedback_ok", "id": int(tag)} for tag in tags],
+        )
     else:
         raise ServingError("unknown v2 opcode %d" % opcode)
     cursor.done()
@@ -454,7 +416,7 @@ def decode_v2_body(body: bytes) -> dict:
 
 def _decode_quote_batch(cursor: _Cursor, count: int) -> dict:
     table, key_index = _read_keys(cursor, count)
-    flags = cursor.array("u1", count)
+    flags = _read_flags(cursor, count)
     tags = cursor.array(">i8", count)
     reserves = cursor.array(">f8", count)
     lengths = cursor.array(">u4", count)
@@ -472,17 +434,16 @@ def _decode_quote_batch(cursor: _Cursor, count: int) -> dict:
             "reserve": float(reserves[position])
             if flags[position] & _HAS_RESERVE
             else None,
+            "id": int(tags[position]),
         }
-        if flags[position] & _HAS_TAG:
-            item["id"] = int(tags[position])
         offset += size
         items.append(item)
-    return {"op": "quote_batch", "items": items}
+    return Batch(op="quote_batch", items=items)
 
 
 def _decode_quote_result_batch(cursor: _Cursor, count: int) -> dict:
     table, key_index = _read_keys(cursor, count)
-    flags = cursor.array("u1", count)
+    flags = _read_flags(cursor, count)
     tags = cursor.array(">i8", count)
     quote_ids = cursor.array(">i8", count)
     link = cursor.array(">f8", count)
@@ -492,7 +453,7 @@ def _decode_quote_result_batch(cursor: _Cursor, count: int) -> dict:
     items = []
     for position in range(count):
         app, segment = table[key_index[position]]
-        item = {
+        items.append({
             "op": "quote_result",
             "quote_id": int(quote_ids[position]),
             "app": app,
@@ -507,29 +468,25 @@ def _decode_quote_result_batch(cursor: _Cursor, count: int) -> dict:
             "skipped": bool(flags[position] & _SKIPPED),
             "round_index": int(rounds[position]),
             "latency_seconds": float(latency[position]),
-        }
-        if flags[position] & _HAS_TAG:
-            item["id"] = int(tags[position])
-        items.append(item)
-    return {"op": "quote_result_batch", "items": items}
+            "id": int(tags[position]),
+        })
+    return Batch(op="quote_result_batch", items=items)
 
 
 def _decode_feedback_batch(cursor: _Cursor, count: int) -> dict:
     table, key_index = _read_keys(cursor, count)
-    flags = cursor.array("u1", count)
+    flags = _read_flags(cursor, count)
     tags = cursor.array(">i8", count)
     quote_ids = cursor.array(">i8", count)
     items = []
     for position in range(count):
         app, segment = table[key_index[position]]
-        item = {
+        items.append({
             "op": "feedback",
             "app": app,
             "segment": segment,
             "quote_id": int(quote_ids[position]),
             "accepted": bool(flags[position] & _ACCEPTED),
-        }
-        if flags[position] & _HAS_TAG:
-            item["id"] = int(tags[position])
-        items.append(item)
-    return {"op": "feedback_batch", "items": items}
+            "id": int(tags[position]),
+        })
+    return Batch(op="feedback_batch", items=items)

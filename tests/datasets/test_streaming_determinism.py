@@ -1,11 +1,9 @@
 """Dataset-loader streaming determinism.
 
-The serving replay feeds (:mod:`repro.serving.feeds`) rebuild their arrival
-streams from the dataset loaders on every iteration, so the loaders must be
-strictly deterministic: the same seed must produce the same record sequence
-on every call, and iterating one dataset object twice must stream identical
-records in identical order.  These tests pin that contract for all four
-generators.
+The dataset loaders must be strictly deterministic: the same seed must
+produce the same record sequence on every call, and iterating one dataset
+object twice must stream identical records in identical order.  These tests
+pin that contract for all four generators.
 """
 
 import numpy as np
@@ -58,7 +56,7 @@ def test_ratings_same_seed_same_sequence():
 
 
 def test_iterating_one_dataset_twice_streams_identical_arrivals():
-    """Replay feeds iterate a loader's output repeatedly; two passes over the
+    """A caller may iterate a loader's output repeatedly; two passes over the
     same dataset object must yield the same arrivals in the same order."""
     loans = generate_loans(count=COUNT, seed=SEED)
     first_pass = [application.feature_vector() for application in loans]

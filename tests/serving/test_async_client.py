@@ -1,37 +1,35 @@
-"""The pipelined async client and its through-the-wire equivalence contract.
+"""The pipelined async client: multiplexing, configuration, lifecycle.
 
-The acceptance bar of the async serving path: a **closed-loop replay
-through the pipelined client** (length-prefixed JSON over a unix socket,
-request tags correlating out-of-order responses, the event-loop drain task
-in between) produces a transcript exactly equal, float for float, to the
-offline engine for every golden pricer family — the same contract the
-blocking client is pinned to, now through the asyncio path the load
-driver uses.
+The golden replay through this client, bit for bit against the offline
+engine for every family, lives in ``test_frontend.py``; here two
+concurrent sessions share one pipelined connection, and the client's one
+configuration and its closed-use errors are pinned.
 """
 
 import asyncio
 import os
 import sys
+import tempfile
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "golden"))
 import golden_specs
 
 from repro.engine import prepare, simulate
+from repro.engine.equivalence import assert_bit_exact, transcript_columns
 from repro.exceptions import ServingError
 from repro.serving import (
+    WIRE_V2,
     AsyncQuoteClient,
     MicroBatchConfig,
     PricerRegistry,
     QuoteService,
+    QuoteSocketClient,
     SessionKey,
     serve_closed_loop_async,
     start_frontend_thread,
 )
-
-COLUMNS = ("link_prices", "posted_prices", "sold", "skipped", "exploratory", "regrets")
 
 
 def _offline(family):
@@ -41,40 +39,6 @@ def _offline(family):
         model, golden_specs.build_pricer(family, theta), materialized=materialized
     )
     return model, theta, materialized, result
-
-
-def _immediate_config():
-    return MicroBatchConfig(max_batch=1, max_wait_seconds=0.0)
-
-
-@pytest.mark.parametrize("family", sorted(golden_specs.GOLDEN_SPECS))
-def test_closed_loop_through_async_client_matches_offline(tmp_path, family):
-    """All 8 golden families replayed closed-loop through AsyncQuoteClient
-    must be bit-identical to the offline engine."""
-    model, theta, materialized, offline = _offline(family)
-    key = SessionKey(app="golden", segment=family)
-    service = QuoteService(
-        PricerRegistry(lambda _key: (model, golden_specs.build_pricer(family, theta))),
-        config=_immediate_config(),
-    )
-    handle = start_frontend_thread(
-        service, unix_path=str(tmp_path / "async.sock"), drain_interval=0.0005
-    )
-
-    async def _replay():
-        async with await AsyncQuoteClient.connect(unix_path=handle.address) as client:
-            return await serve_closed_loop_async(client, key, materialized)
-
-    try:
-        online = asyncio.run(_replay())
-    finally:
-        handle.stop()
-    for name in COLUMNS:
-        left = getattr(online.transcript, name)
-        right = getattr(offline.transcript, name)
-        assert np.array_equal(left, right, equal_nan=left.dtype.kind == "f"), (
-            "%s column %r diverged through the async client" % (family, name)
-        )
 
 
 def test_async_client_concurrent_sessions_one_connection(tmp_path):
@@ -107,13 +71,19 @@ def test_async_client_concurrent_sessions_one_connection(tmp_path):
         left, right = asyncio.run(_replay())
     finally:
         handle.stop()
+    prefix = {
+        name: column[:96] for name, column in transcript_columns(offline.transcript).items()
+    }
     for online in (left, right):
-        assert np.array_equal(
-            online.transcript.posted_prices,
-            offline.transcript.posted_prices[:96],
-            equal_nan=True,
-        )
-        assert np.array_equal(online.transcript.sold, offline.transcript.sold[:96])
+        assert_bit_exact(online.transcript, prefix, family)
+
+
+def test_connect_accepts_only_the_one_wire_path():
+    """``wire`` and ``coalesce_writes`` remain only as fixed values: any
+    other raises before a connection is opened."""
+    for options in ({"wire": 1}, {"wire": 3}, {"coalesce_writes": False}):
+        with pytest.raises(ValueError):
+            asyncio.run(AsyncQuoteClient.connect(unix_path="/nonexistent.sock", **options))
 
 
 def test_async_client_rejects_double_address_and_closed_use():
@@ -123,24 +93,20 @@ def test_async_client_rejects_double_address_and_closed_use():
         # host without a port must be the documented ValueError, not a
         # TypeError from int(None).
         asyncio.run(AsyncQuoteClient.connect(host="127.0.0.1"))
-    from repro.serving import QuoteSocketClient
-
     with pytest.raises(ValueError):
         QuoteSocketClient(host="127.0.0.1")
 
     async def _closed_use(tmp_sock):
-        client = await AsyncQuoteClient.connect(unix_path=tmp_sock)
+        client = await AsyncQuoteClient.connect(
+            unix_path=tmp_sock, wire=WIRE_V2, coalesce_writes=True
+        )
         await client.close()
         with pytest.raises(ServingError):
             client.submit_quote(SessionKey("a", "b"), [1.0])
 
     # A real socket is needed just to connect before closing.
-    import tempfile
-
-    from repro.serving import MicroBatchConfig as _Config
-
     service = QuoteService(
-        PricerRegistry(lambda _key: (None, None)), config=_Config(max_batch=1)
+        PricerRegistry(lambda _key: (None, None)), config=MicroBatchConfig(max_batch=1)
     )
     with tempfile.TemporaryDirectory() as tmp:
         handle = start_frontend_thread(service, unix_path=os.path.join(tmp, "x.sock"))

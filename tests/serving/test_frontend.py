@@ -1,14 +1,16 @@
 """The socket front end and its through-the-wire equivalence contract.
 
 The acceptance bar of the serving front end: a closed-loop replay **through
-the socket** (length-prefixed JSON frames, an event-loop drain task, and —
-with a sharded backend — a process boundary between the router and the
-pricer) produces a transcript exactly equal, float for float, to the offline
-engine.  JSON floats round-trip via shortest ``repr``, the backend drives the
-identical propose/update protocol, so not a single bit may move.
+the socket** (binary v2 batch frames, an event-loop drain task, and — with
+a sharded backend — a process boundary between the router and the pricer)
+produces a transcript exactly equal, bit for bit in all nine columns, to
+the offline engine.  v2 carries floats as raw IEEE doubles and the backend
+drives the identical propose/update protocol, so not a single bit may move.
 """
 
+import asyncio
 import os
+import socket
 import sys
 
 import pytest
@@ -20,15 +22,19 @@ from repro.engine import prepare, simulate
 from repro.engine.equivalence import assert_bit_exact, transcript_columns
 from repro.exceptions import ServingError
 from repro.serving import (
+    AsyncQuoteClient,
+    FrameDecoder,
     MicroBatchConfig,
     PricerRegistry,
     QuoteService,
     QuoteSocketClient,
     SessionKey,
     ShardedRegistry,
-    serve_closed_loop_socket,
+    serve_closed_loop_async,
     start_frontend_thread,
 )
+from repro.serving.wire import encode_frame
+
 
 def _offline(family):
     model, batch, theta = golden_specs.build_market(family)
@@ -45,10 +51,31 @@ def _immediate_config():
     return MicroBatchConfig(max_batch=1, max_wait_seconds=0.0)
 
 
+def _replay(key, materialized, **address):
+    async def _run():
+        async with await AsyncQuoteClient.connect(**address) as client:
+            return await serve_closed_loop_async(client, key, materialized)
+
+    return asyncio.run(_run())
+
+
+def _exchange(raw, decoder, payload):
+    """Send one JSON frame on a raw socket; return the next frame back."""
+    raw.sendall(encode_frame(payload))
+    frames = []
+    while not frames:
+        chunk = raw.recv(65536)
+        assert chunk, "server closed the connection"
+        frames = decoder.feed(chunk)
+    assert len(frames) == 1
+    return frames[0]
+
+
 @pytest.mark.parametrize("family", sorted(golden_specs.GOLDEN_SPECS))
 def test_closed_loop_through_socket_and_shard_matches_offline(tmp_path, family):
     """One shard behind the asyncio front end on a unix socket: the full
-    golden tier must replay bit-identically through wire + process boundary."""
+    golden tier must replay bit-identically through the one client, the
+    wire and a process boundary."""
     model, theta, materialized, offline = _offline(family)
     key = SessionKey(app="golden", segment=family)
     with ShardedRegistry(
@@ -60,8 +87,7 @@ def test_closed_loop_through_socket_and_shard_matches_offline(tmp_path, family):
             backend, unix_path=str(tmp_path / "quotes.sock"), drain_interval=0.0005
         )
         try:
-            with QuoteSocketClient(unix_path=handle.address) as client:
-                online = serve_closed_loop_socket(client, key, materialized)
+            online = _replay(key, materialized, unix_path=handle.address)
         finally:
             handle.stop()
     assert_bit_exact(online.transcript, offline.transcript, family)
@@ -82,9 +108,7 @@ def test_closed_loop_through_tcp_socket_with_in_process_service():
     )
     try:
         host, port = handle.address[0], handle.address[1]
-        with QuoteSocketClient(host=host, port=port) as client:
-            window = materialized.slice(0, 128)
-            online = serve_closed_loop_socket(client, key, window)
+        online = _replay(key, materialized.slice(0, 128), host=host, port=port)
     finally:
         handle.stop()
     prefix = {
@@ -131,44 +155,59 @@ def test_protocol_housekeeping_ops(tmp_path):
             )
             assert client.flush() == 0  # nothing queued
 
-            # Protocol errors come back as error frames, not hangs.
+            # A feedback for an unknown quote comes back as an error.
             with pytest.raises(ServingError):
                 client.feedback(key, 999_999, accepted=True)
-            client._send({"op": "no-such-op"})
-            with pytest.raises(ServingError):
-                client._expect("pong")
-            # Malformed field *values* (a null quote id) get an error frame
-            # too — the connection must not be killed mid-protocol.
-            client._send(
-                {
-                    "op": "feedback",
-                    "app": key.app,
-                    "segment": key.segment,
-                    "quote_id": None,
-                    "accepted": True,
-                }
-            )
-            with pytest.raises(ServingError):
-                client._expect("feedback_ok")
             # The connection is still usable afterwards.
             client.ping()
     finally:
         handle.stop()
 
 
-def test_quote_for_unknown_fields_reports_error(tmp_path):
+def test_json_quote_and_feedback_frames_get_error_frames(tmp_path):
+    """The data plane is v2 only: a JSON ``quote`` or ``feedback`` frame
+    (well-formed or not) is an unknown op, answered with an ``error`` frame,
+    and the connection stays usable.  Nothing is served for it."""
     family = "ellipsoid-reserve"
     model, theta, materialized, _offline_result = _offline(family)
     service = QuoteService(
         PricerRegistry(lambda _key: (model, golden_specs.build_pricer(family, theta))),
         config=_immediate_config(),
     )
-    handle = start_frontend_thread(service, unix_path=str(tmp_path / "bad.sock"))
+    handle = start_frontend_thread(service, unix_path=str(tmp_path / "json.sock"))
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    raw.settimeout(10)
+    raw.connect(handle.address)
+    decoder = FrameDecoder()
     try:
-        with QuoteSocketClient(unix_path=handle.address) as client:
-            client._send({"op": "quote", "app": "golden"})  # missing fields
-            frame = client.read_frame()
-            assert frame["op"] == "error"
-            client.ping()  # connection survives a malformed quote
+        quote = {
+            "op": "quote",
+            "app": "golden",
+            "segment": family,
+            "features": [float(value) for value in materialized.mapped_features[0]],
+            "reserve": None,
+            "id": 1,
+        }
+        feedback = {
+            "op": "feedback", "app": "golden", "segment": family,
+            "quote_id": 0, "accepted": True, "id": 2,
+        }
+        for payload in (
+            quote,
+            {"op": "quote", "app": "golden", "id": 3},  # missing fields
+            feedback,
+            {"op": "feedback", "app": "golden", "quote_id": None, "id": 4},
+            {"op": "hello", "wire": 2, "id": 5},  # no negotiation any more
+            {"op": "quote_batch", "items": [quote], "id": 6},  # JSON is not v2
+            {"op": "no-such-op", "id": 7},
+        ):
+            frame = _exchange(raw, decoder, payload)
+            assert frame["op"] == "error", (payload, frame)
+            assert frame["id"] == payload["id"]
+            assert "unknown op" in frame["error"]
+            assert _exchange(raw, decoder, {"op": "ping", "id": 0})["op"] == "pong"
+        assert service.stats.quotes_served == 0
+        assert service.stats.feedback_applied == 0
     finally:
+        raw.close()
         handle.stop()

@@ -132,9 +132,7 @@ def test_golden_families_bit_exact_through_live_migration_over_socket(tmp_path):
     }
 
     async def drive():
-        client = await AsyncQuoteClient.connect(
-            unix_path=handle.address, wire=2, coalesce_writes=True
-        )
+        client = await AsyncQuoteClient.connect(unix_path=handle.address)
         posted = {family: [] for family in FAMILIES}
         seen_ids = set()
         try:
@@ -600,9 +598,7 @@ def test_pipelined_v2_client_during_move_is_order_preserving(tmp_path):
     move_thread = threading.Thread(target=mover)
 
     async def drive():
-        client = await AsyncQuoteClient.connect(
-            unix_path=handle.address, wire=2, coalesce_writes=True
-        )
+        client = await AsyncQuoteClient.connect(unix_path=handle.address)
         results = []
         try:
             for burst_start in range(0, len(rows), 4):

@@ -279,13 +279,13 @@ def test_partial_submit_failure_spares_healthy_quotes_through_the_socket(tmp_pat
         handle = start_frontend_thread(sharded, unix_path=address, drain_interval=0.001)
         try:
             async def burst():
-                client = await AsyncQuoteClient.connect(
-                    unix_path=address, wire=2, coalesce_writes=True
-                )
+                client = await AsyncQuoteClient.connect(unix_path=address)
                 try:
-                    futures = client.submit_quotes(
-                        [(key, round_.features, round_.reserve) for key in keys]
-                    )
+                    # Submits of one tick leave as one coalesced quote batch.
+                    futures = [
+                        client.submit_quote(key, round_.features, round_.reserve)
+                        for key in keys
+                    ]
                     results = await asyncio.gather(*futures, return_exceptions=True)
                     for key, result in zip(keys, results):
                         if isinstance(result, Exception):

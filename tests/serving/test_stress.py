@@ -32,7 +32,7 @@ from repro.serving import (
     SessionKey,
     start_frontend_thread,
 )
-from repro.serving.frontend import FRAME_HEADER, encode_frame
+from repro.serving.wire import encode_quote_batch
 
 
 class EchoModel:
@@ -279,14 +279,16 @@ def test_slow_reader_is_aborted_and_server_survives(tmp_path):
     slow.connect(handle.address)
     slow.settimeout(30)
     try:
-        # ~4000 responses at ~150B apiece ≫ kernel socket buffer + 32 KiB
-        # transport bound, so the abort must trigger; the client never reads.
-        payload = {"op": "quote", "app": "stress", "segment": "slow",
-                   "features": [1.0, 2.0], "reserve": None}
+        # 16,000 results at ~53B apiece (batches of up to 16 per drain)
+        # ≫ kernel socket buffer + 32 KiB transport bound, so the abort must
+        # trigger; the client never reads.
         try:
-            for index in range(4000):
-                payload["id"] = index
-                slow.sendall(encode_frame(payload))
+            for start in range(0, 16_000, 10):
+                slow.sendall(encode_quote_batch([
+                    {"app": "stress", "segment": "slow", "features": [1.0, 2.0],
+                     "reserve": None, "id": index}
+                    for index in range(start, start + 10)
+                ]))
         except (BrokenPipeError, ConnectionResetError):
             pass  # aborted mid-flood — exactly the point
         assert _wait_until(lambda: handle.frontend.stats.slow_reader_disconnects == 1)

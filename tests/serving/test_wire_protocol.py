@@ -1,18 +1,19 @@
-"""Property-based tests of the length-prefixed JSON wire protocol.
+"""Property-based tests of the length-prefixed framing and the live wire.
 
 Two layers:
 
 * **sans-IO** (hypothesis over :class:`FrameDecoder` / ``encode_frame``):
-  arbitrary JSON payloads round-trip exactly through encode → decode, at
-  *any* chunk boundaries; truncated frames stay buffered without output or
-  error; oversized length headers and undecodable bodies raise
+  arbitrary JSON control payloads round-trip exactly through encode →
+  decode, at *any* chunk boundaries; truncated frames stay buffered without
+  output or error; oversized length headers and undecodable bodies raise
   :class:`ServingError` instead of yielding garbage.
-* **live socket**: arbitrary field *values* in a ``quote`` op produce a
+* **live socket**: any doubles in a v2 quote's features and reserve (NaN,
+  infinities, empty or wrong-length feature vectors) produce a
   ``quote_result`` or an ``error`` frame — never a hung connection; a
   truncated frame followed by a hang-up leaves the server serving other
-  clients; an oversized frame length is answered with an error frame; and
-  interleaved pipelined responses correlate back to their requests exactly
-  once each.
+  clients; an oversized frame length and an untagged v2 item are each
+  answered with a ``protocol`` error frame and a hang-up; and interleaved
+  pipelined responses correlate back to their requests exactly once each.
 
 Profiles: CI runs with ``HYPOTHESIS_PROFILE=ci`` (few examples, no
 deadline) so the property sweep cannot flake a shared runner on timing.
@@ -39,7 +40,14 @@ from repro.serving import (
     SessionKey,
     start_frontend_thread,
 )
-from repro.serving.frontend import FRAME_HEADER, MAX_FRAME_BYTES, encode_frame
+from repro.serving.wire import (
+    FRAME_HEADER,
+    MAX_FRAME_BYTES,
+    V2_HEADER,
+    encode_feedback_batch,
+    encode_frame,
+    encode_quote_batch,
+)
 from repro.core.models import LinearModel
 
 settings.register_profile("ci", max_examples=25, deadline=None,
@@ -173,30 +181,82 @@ def live_server(tmp_path_factory):
     handle.stop()
 
 
-@given(features=json_values, reserve=json_values)
+doubles = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+def _connect(address):
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    raw.settimeout(30)
+    raw.connect(address)
+    return raw
+
+
+def _next_frames(raw, decoder):
+    frames = []
+    while not frames:
+        chunk = raw.recv(65536)
+        assert chunk, "server closed the connection"
+        frames = decoder.feed(chunk)
+    return frames
+
+
+def _answer(raw, decoder, tag):
+    """The one reply to request ``tag``: a batch item or an error frame."""
+    (frame,) = _next_frames(raw, decoder)
+    item = frame["items"][0] if "items" in frame else frame
+    assert item["id"] == tag
+    return item
+
+
+@given(features=st.lists(doubles, max_size=8), reserve=st.one_of(st.none(), doubles))
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
-def test_arbitrary_quote_field_values_answer_or_error(live_server, features, reserve):
-    """Whatever lands in ``features``/``reserve``, the server answers the
-    quote with ``quote_result`` or ``error`` — the connection never hangs
-    and is immediately reusable."""
-    with QuoteSocketClient(unix_path=live_server.address, timeout=30.0) as client:
-        client._send(
-            {
-                "op": "quote",
-                "app": "wire",
-                "segment": "fuzz",
-                "features": features,
-                "reserve": reserve,
-                "id": 1,
-            }
-        )
-        frame = client.read_frame()
-        assert frame["op"] in ("quote_result", "error")
-        if frame["op"] == "quote_result":
-            # Settle so the session never accumulates pending decisions.
-            client.feedback(SessionKey("wire", "fuzz"), frame["quote_id"], False)
-        client.ping()
+def test_any_v2_quote_values_answer_or_error(live_server, features, reserve):
+    """Whatever doubles land in a v2 quote — NaN, infinities, an empty or
+    wrong-length feature vector (the pricer is 4-d), any reserve — the
+    server answers with a ``quote_result`` or an ``error`` frame; the
+    connection never hangs and is immediately reusable."""
+    key = {"app": "wire", "segment": "fuzz"}
+    raw = _connect(live_server.address)
+    decoder = FrameDecoder()
+    try:
+        raw.sendall(encode_quote_batch(
+            [dict(key, features=features, reserve=reserve, id=1)]
+        ))
+        answer = _answer(raw, decoder, 1)
+        assert answer["op"] in ("quote_result", "error")
+        if answer["op"] == "quote_result":
+            # Settle so the session never accumulates pending decisions.  A
+            # cut can still fail (a support width that overflows to inf gives
+            # a non-finite offset); that too is answered, with an error.
+            raw.sendall(encode_feedback_batch(
+                [dict(key, quote_id=answer["quote_id"], accepted=False, id=2)]
+            ))
+            assert _answer(raw, decoder, 2)["op"] in ("feedback_ok", "error")
+        raw.sendall(encode_frame({"op": "ping", "id": 3}))
+        assert _answer(raw, decoder, 3)["op"] == "pong"
+    finally:
+        raw.close()
+
+
+def test_untagged_v2_item_gets_protocol_error_then_eof(live_server):
+    """Every data-plane item carries a tag: a quote batch whose item lacks
+    one is a protocol error, answered like an undecodable body."""
+    frame = bytearray(encode_quote_batch(
+        [{"app": "w", "segment": "s", "features": [1.0] * 4, "reserve": None, "id": 1}]
+    ))
+    # The flags byte follows the headers, the one-key table and the key index.
+    frame[FRAME_HEADER.size + V2_HEADER.size + 2 + 3 + 3 + 2] &= 0xFE
+    raw = _connect(live_server.address)
+    try:
+        raw.sendall(bytes(frame))
+        (error,) = _next_frames(raw, FrameDecoder())
+        assert error["op"] == "error"
+        assert error["code"] == "protocol"
+        assert "tag" in error["error"]
+        assert raw.recv(65536) == b""
+    finally:
+        raw.close()
 
 
 def test_truncated_frame_then_close_does_not_hang_the_server(live_server):

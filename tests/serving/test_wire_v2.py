@@ -1,61 +1,32 @@
-"""Property-based and golden tests of the binary columnar wire format v2.
+"""Property-based tests of the binary columnar wire format v2.
 
-Three layers:
-
-* **sans-IO codec** (hypothesis over the :mod:`repro.serving.wire` batch
-  encoders): arbitrary batches of quotes / results / feedback events
-  round-trip bit-exactly through encode → decode (floats travel as raw
-  IEEE doubles, so equality is ``==``-on-bits, not approximate), at *any*
-  chunk boundaries, interleaved freely with v1 JSON frames on the same
-  decoder; truncated and corrupted v2 bodies raise :class:`ServingError`
-  instead of yielding garbage.
-* **negotiation**: a ``hello`` upgrades the connection on a v2-aware
-  server (sync and async clients); against an old server that answers
-  ``hello`` with an ``error`` frame the client silently stays on v1 and
-  every operation keeps working.
-* **golden replay**: all 8 golden families replayed closed-loop through
-  the v2 socket path — sync client and async client — are bit-identical
-  to the offline engine, the same equivalence contract the v1 tiers pin.
+The sans-IO codec (hypothesis over the :mod:`repro.serving.wire` batch
+encoders): arbitrary batches of quotes / results / feedback events
+round-trip bit-exactly through encode → decode (floats travel as raw IEEE
+doubles, so equality is ``==``-on-bits, not approximate), at *any* chunk
+boundaries, interleaved freely with JSON control frames on the same
+decoder; truncated, corrupted and untagged v2 bodies raise
+:class:`ServingError` instead of yielding garbage.  The golden replay
+through the socket lives in ``test_frontend.py``.
 
 Profiles: CI runs with ``HYPOTHESIS_PROFILE=ci`` (few examples, no
 deadline) so the property sweep cannot flake a shared runner on timing.
 """
 
-import asyncio
 import os
-import socket
 import struct
-import sys
-import threading
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "golden"))
-import golden_specs
-
-from repro.engine import prepare, simulate
-from repro.engine.equivalence import assert_bit_exact
 from repro.exceptions import ServingError
-from repro.serving import (
-    WIRE_V1,
-    WIRE_V2,
-    AsyncQuoteClient,
-    FrameDecoder,
-    MicroBatchConfig,
-    PricerRegistry,
-    QuoteService,
-    QuoteSocketClient,
-    SessionKey,
-    serve_closed_loop_async,
-    serve_closed_loop_socket,
-    start_frontend_thread,
-)
+from repro.serving import WIRE_V2, FrameDecoder
 from repro.serving.wire import (
     FRAME_HEADER,
     V2_HEADER,
+    Batch,
     V2_MAGIC,
     encode_feedback_batch,
     encode_feedback_ok_batch,
@@ -79,7 +50,7 @@ keys = st.text(min_size=1, max_size=16)
 #: and infinities must round-trip too (NaN compared via bit pattern).
 doubles = st.floats(allow_nan=True, allow_infinity=True, width=64)
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False, width=64)
-tags = st.one_of(st.none(), st.integers(min_value=-(2**62), max_value=2**62))
+tags = st.integers(min_value=-(2**62), max_value=2**62)
 
 quote_items = st.builds(
     lambda app, segment, features, reserve, tag: {
@@ -88,7 +59,7 @@ quote_items = st.builds(
         "segment": segment,
         "features": features,
         "reserve": reserve,
-        **({"id": tag} if tag is not None else {}),
+        "id": tag,
     },
     app=keys,
     segment=keys,
@@ -109,7 +80,7 @@ result_items = st.builds(
         "skipped": skipped,
         "round_index": rnd,
         "latency_seconds": lat,
-        **({"id": tag} if tag is not None else {}),
+        "id": tag,
     },
     app=keys,
     segment=keys,
@@ -130,7 +101,7 @@ feedback_items = st.builds(
         "segment": segment,
         "quote_id": quote_id,
         "accepted": accepted,
-        **({"id": tag} if tag is not None else {}),
+        "id": tag,
     },
     app=keys,
     segment=keys,
@@ -151,7 +122,7 @@ def _assert_quote_roundtrip(sent, received):
     assert received["op"] == "quote"
     assert received["app"] == sent["app"]
     assert received["segment"] == sent["segment"]
-    assert received.get("id") == sent.get("id")
+    assert received["id"] == sent["id"]
     assert _bits(received["reserve"]) == _bits(sent["reserve"])
     decoded = np.asarray(received["features"], dtype=np.float64)
     original = np.asarray(sent["features"], dtype=np.float64)
@@ -190,7 +161,7 @@ def test_quote_result_batch_roundtrip_bit_exact(items):
         assert received["skipped"] == sent["skipped"]
         assert received["round_index"] == sent["round_index"]
         assert _bits(received["latency_seconds"]) == _bits(sent["latency_seconds"])
-        assert received.get("id") == sent.get("id")
+        assert received["id"] == sent["id"]
 
 
 @given(items=st.lists(feedback_items, min_size=0, max_size=6))
@@ -204,7 +175,7 @@ def test_feedback_batch_roundtrip_exact(items):
         assert received["segment"] == sent["segment"]
         assert received["quote_id"] == sent["quote_id"]
         assert received["accepted"] == sent["accepted"]
-        assert received.get("id") == sent.get("id")
+        assert received["id"] == sent["id"]
 
 
 @given(batch_tags=st.lists(st.integers(min_value=-(2**62), max_value=2**62),
@@ -221,11 +192,12 @@ def test_feedback_ok_batch_roundtrip(batch_tags):
     json_payload=st.dictionaries(st.text(max_size=6), st.integers(), max_size=3),
     data=st.data(),
 )
-def test_mixed_v1_v2_stream_at_arbitrary_chunk_boundaries(
+def test_mixed_json_and_v2_stream_at_arbitrary_chunk_boundaries(
     quote_batches, json_payload, data
 ):
-    """v1 JSON and v2 binary frames interleaved on one stream decode in
-    order at *any* split points — the NUL discriminator never misfires."""
+    """JSON control frames and v2 batch frames interleaved on one stream
+    decode in order at *any* split points — the NUL discriminator never
+    misfires, and only the v2 bodies decode as :class:`Batch`."""
     stream = b""
     expected_ops = []
     for batch in quote_batches:
@@ -245,6 +217,7 @@ def test_mixed_v1_v2_stream_at_arbitrary_chunk_boundaries(
     assert decoder.buffered == 0
     assert len(decoded) == len(expected_ops)
     for frame, (op, count) in zip(decoded, expected_ops):
+        assert isinstance(frame, Batch) == (op is not None)
         if op is None:
             assert frame == json_payload
         else:
@@ -295,7 +268,7 @@ def test_trailing_bytes_after_valid_body_raise():
 
 def test_key_index_out_of_range_raises():
     frame = encode_quote_batch(
-        [{"op": "quote", "app": "a", "segment": "b", "features": [1.0], "reserve": None}]
+        [{"app": "a", "segment": "b", "features": [1.0], "reserve": None, "id": 1}]
     )
     body = bytearray(frame[FRAME_HEADER.size:])
     # The key table of this frame is: u16 count=1, then "a" and "b" with u16
@@ -307,239 +280,35 @@ def test_key_index_out_of_range_raises():
 
 
 # --------------------------------------------------------------------------- #
-# Negotiation
+# Every data-plane item carries a tag
 # --------------------------------------------------------------------------- #
 
 
-def _immediate_config():
-    return MicroBatchConfig(max_batch=1, max_wait_seconds=0.0)
-
-
-def _service(family, model, theta):
-    return QuoteService(
-        PricerRegistry(lambda _key: (model, golden_specs.build_pricer(family, theta))),
-        config=_immediate_config(),
-    )
-
-
-def _offline(family):
-    model, batch, theta = golden_specs.build_market(family)
-    materialized = prepare(model, batch)
-    result = simulate(
-        model, golden_specs.build_pricer(family, theta), materialized=materialized
-    )
-    return model, theta, materialized, result
-
-
-def test_sync_client_negotiates_v2_and_serves(tmp_path):
-    family = "ellipsoid-reserve"
-    model, theta, materialized, _ = _offline(family)
-    handle = start_frontend_thread(
-        _service(family, model, theta), unix_path=str(tmp_path / "neg.sock")
-    )
-    try:
-        with QuoteSocketClient(unix_path=handle.address, wire=2) as client:
-            assert client.wire == WIRE_V2
-            key = SessionKey("golden", family)
-            result = client.quote(key, materialized.mapped_features[0], reserve=None)
-            assert result["op"] == "quote_result"
-            client.feedback(key, result["quote_id"], accepted=False)
-            client.ping()  # housekeeping stays JSON and still works
-        # The wire counters saw binary traffic.
-        wire_stats = handle.frontend.wire_stats
-        assert wire_stats.frames_in_v2 >= 2
-        assert wire_stats.frames_out_v2 >= 2
-    finally:
-        handle.stop()
-
-
-def test_async_client_negotiates_v2(tmp_path):
-    family = "ellipsoid-reserve"
-    model, theta, materialized, _ = _offline(family)
-    handle = start_frontend_thread(
-        _service(family, model, theta), unix_path=str(tmp_path / "aneg.sock")
-    )
-
-    async def _run():
-        async with await AsyncQuoteClient.connect(
-            unix_path=handle.address, wire=2
-        ) as client:
-            assert client.wire == WIRE_V2
-            key = SessionKey("golden", family)
-            result = await client.quote(key, materialized.mapped_features[0])
-            await client.feedback(key, result["quote_id"], accepted=False)
-            return result
-
-    try:
-        result = asyncio.run(_run())
-        assert result["op"] == "quote_result"
-    finally:
-        handle.stop()
-
-
-def _old_server(unix_path, ready):
-    """A pre-v2 server: every hello is answered with an error frame."""
-    server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    server.bind(unix_path)
-    server.listen(1)
-    ready.set()
-    conn, _ = server.accept()
-    decoder = FrameDecoder()
-    try:
-        while True:
-            chunk = conn.recv(65536)
-            if not chunk:
-                break
-            for frame in decoder.feed(chunk):
-                op = frame.get("op")
-                if op == "ping":
-                    conn.sendall(
-                        encode_frame({"op": "pong", "id": frame.get("id")})
-                    )
-                else:
-                    conn.sendall(
-                        encode_frame(
-                            {
-                                "op": "error",
-                                "error": "unknown op %r" % op,
-                                "id": frame.get("id"),
-                            }
-                        )
-                    )
-    except OSError:
-        pass
-    finally:
-        conn.close()
-        server.close()
-
-
-def test_clients_fall_back_to_v1_against_old_server(tmp_path):
-    """A server that answers ``hello`` with an error frame (the pre-v2
-    behaviour for an unknown op) leaves both clients on v1, still working."""
-    path = str(tmp_path / "old.sock")
-    ready = threading.Event()
-    thread = threading.Thread(target=_old_server, args=(path, ready), daemon=True)
-    thread.start()
-    assert ready.wait(5)
-    with QuoteSocketClient(unix_path=path, wire=2) as client:
-        assert client.wire == WIRE_V1
-        client.ping()
-    thread.join(5)
-
-    ready2 = threading.Event()
-    path2 = str(tmp_path / "old2.sock")
-    thread2 = threading.Thread(target=_old_server, args=(path2, ready2), daemon=True)
-    thread2.start()
-    assert ready2.wait(5)
-
-    async def _run():
-        async with await AsyncQuoteClient.connect(unix_path=path2, wire=2) as client:
-            assert client.wire == WIRE_V1
-            await client.ping()
-
-    asyncio.run(_run())
-    thread2.join(5)
-
-
-def test_v1_client_unchanged_against_v2_server(tmp_path):
-    """A plain v1 client (no hello) works against the new server and sees
-    pure JSON responses."""
-    family = "ellipsoid-reserve"
-    model, theta, materialized, _ = _offline(family)
-    handle = start_frontend_thread(
-        _service(family, model, theta), unix_path=str(tmp_path / "v1.sock")
-    )
-    try:
-        with QuoteSocketClient(unix_path=handle.address) as client:
-            assert client.wire == WIRE_V1
-            key = SessionKey("golden", family)
-            result = client.quote(key, materialized.mapped_features[0], reserve=None)
-            client.feedback(key, result["quote_id"], accepted=False)
-        assert handle.frontend.wire_stats.frames_out_v2 == 0
-    finally:
-        handle.stop()
-
-
-# --------------------------------------------------------------------------- #
-# Golden replay through the v2 socket path
-# --------------------------------------------------------------------------- #
-
-
-@pytest.mark.parametrize("family", sorted(golden_specs.GOLDEN_SPECS))
-def test_golden_families_bit_identical_through_v2_sync_client(tmp_path, family):
-    model, theta, materialized, offline = _offline(family)
-    key = SessionKey(app="golden", segment=family)
-    handle = start_frontend_thread(
-        _service(family, model, theta),
-        unix_path=str(tmp_path / "v2sync.sock"),
-        drain_interval=0.0005,
-    )
-    try:
-        with QuoteSocketClient(unix_path=handle.address, wire=2) as client:
-            assert client.wire == WIRE_V2
-            online = serve_closed_loop_socket(client, key, materialized)
-    finally:
-        handle.stop()
-    assert_bit_exact(online.transcript, offline.transcript, family)
-
-
-@pytest.mark.parametrize("family", sorted(golden_specs.GOLDEN_SPECS))
-def test_golden_families_bit_identical_through_v2_async_client(tmp_path, family):
-    model, theta, materialized, offline = _offline(family)
-    key = SessionKey(app="golden", segment=family)
-    handle = start_frontend_thread(
-        _service(family, model, theta),
-        unix_path=str(tmp_path / "v2async.sock"),
-        drain_interval=0.0005,
-    )
-
-    async def _replay():
-        async with await AsyncQuoteClient.connect(
-            unix_path=handle.address, wire=2, coalesce_writes=True
-        ) as client:
-            assert client.wire == WIRE_V2
-            return await serve_closed_loop_async(client, key, materialized)
-
-    try:
-        online = asyncio.run(_replay())
-    finally:
-        handle.stop()
-    assert_bit_exact(online.transcript, offline.transcript, family)
-
-
-def test_batch_submit_primitives_roundtrip(tmp_path):
-    """submit_quotes/submit_feedbacks fire whole batches as single frames
-    and every future resolves exactly once."""
-    family = "ellipsoid-reserve"
-    model, theta, materialized, _ = _offline(family)
-    service = QuoteService(
-        PricerRegistry(lambda _key: (model, golden_specs.build_pricer(family, theta))),
-        config=MicroBatchConfig(max_batch=8, max_wait_seconds=0.0005),
-    )
-    handle = start_frontend_thread(
-        service, unix_path=str(tmp_path / "batch.sock"), drain_interval=0.0005
-    )
-
-    async def _run():
-        key = SessionKey("golden", family)
-        async with await AsyncQuoteClient.connect(
-            unix_path=handle.address, wire=2
-        ) as client:
-            futures = client.submit_quotes(
-                (key, materialized.mapped_features[i], None) for i in range(12)
-            )
-            results = await asyncio.gather(*futures)
-            acks = await asyncio.gather(
-                *client.submit_feedbacks(
-                    (key, r["quote_id"], bool(i % 2)) for i, r in enumerate(results)
-                )
-            )
-            return results, acks
-
-    try:
-        results, acks = asyncio.run(_run())
-    finally:
-        handle.stop()
-    assert len({r["quote_id"] for r in results}) == 12
-    assert all(r["op"] == "quote_result" for r in results)
-    assert all(a["op"] == "feedback_ok" for a in acks)
+@pytest.mark.parametrize(
+    "encode, item",
+    [
+        (encode_quote_batch, {"app": "a", "segment": "b", "features": [1.0], "reserve": None}),
+        (encode_feedback_batch, {"app": "a", "segment": "b", "quote_id": 3, "accepted": True}),
+        (
+            encode_quote_result_batch,
+            {
+                "quote_id": 3, "app": "a", "segment": "b", "link_price": 1.0,
+                "posted_price": 1.0, "exploratory": False, "skipped": False,
+                "round_index": 0, "latency_seconds": 0.0,
+            },
+        ),
+    ],
+)
+def test_untagged_items_neither_encode_nor_decode(encode, item):
+    """An item without a tag cannot be encoded; a body whose flags byte
+    lacks the tag bit (a peer that skipped the encoder) does not decode."""
+    with pytest.raises(ServingError, match="tag"):
+        encode([item])
+    frame = bytearray(encode([dict(item, id=7)]))
+    # One item, one key ("a", "b"): the flags byte follows the header, the
+    # key table and the u16 key index.
+    offset = FRAME_HEADER.size + V2_HEADER.size + 2 + (2 + 1) + (2 + 1) + 2
+    assert frame[offset] & 1
+    frame[offset] &= 0xFE
+    with pytest.raises(ServingError, match="tag"):
+        FrameDecoder().feed(bytes(frame))
