@@ -38,7 +38,8 @@ pending future, so no caller can hang on a dead connection.
 one :class:`AsyncQuoteClient` on a private event loop.
 :func:`serve_closed_loop_async` is the closed-loop replay driver through
 the socket; its transcript is bit-identical to the offline engine (pinned
-for every golden family by ``tests/serving/test_frontend.py``).
+for every golden family by ``tests/serving/test_frontend.py``,
+``test_async_client.py`` and ``test_wire_v2.py``).
 """
 
 from __future__ import annotations

@@ -164,6 +164,37 @@ def test_protocol_housekeeping_ops(tmp_path):
         handle.stop()
 
 
+def test_malformed_v2_quotes_fail_alone_through_the_client(tmp_path):
+    """A v2 quote the session cannot price (wrong-length, empty or
+    non-finite features) fails as its own drain error, naming its lost
+    quote id; the connection and the session keep serving."""
+    family = "ellipsoid-reserve"
+    model, theta, materialized, _offline_result = _offline(family)
+    service = QuoteService(
+        PricerRegistry(lambda _key: (model, golden_specs.build_pricer(family, theta))),
+        config=_immediate_config(),
+    )
+    handle = start_frontend_thread(service, unix_path=str(tmp_path / "bad.sock"))
+    dimension = materialized.mapped_features.shape[1]
+    key = SessionKey("golden", family)
+    try:
+        with QuoteSocketClient(unix_path=handle.address) as client:
+            for lost_id, features in enumerate(
+                ([1.0, 2.0], [], [float("nan")] * dimension)
+            ):
+                with pytest.raises(ServingError) as excinfo:
+                    client.quote(key, features)
+                assert excinfo.value.lost_quote_ids == [lost_id]
+                client.ping()
+            result = client.quote(key, materialized.mapped_features[0])
+            assert result["op"] == "quote_result"
+            client.feedback(key, result["quote_id"], accepted=False)
+        assert service.stats.quotes_served == 1
+        assert service.stats.feedback_applied == 1
+    finally:
+        handle.stop()
+
+
 def test_json_quote_and_feedback_frames_get_error_frames(tmp_path):
     """The data plane is v2 only: a JSON ``quote`` or ``feedback`` frame
     (well-formed or not) is an unknown op, answered with an ``error`` frame,

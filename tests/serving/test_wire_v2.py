@@ -1,28 +1,56 @@
-"""Property-based tests of the binary columnar wire format v2.
+"""Property-based and golden tests of the binary columnar wire format v2.
 
-The sans-IO codec (hypothesis over the :mod:`repro.serving.wire` batch
-encoders): arbitrary batches of quotes / results / feedback events
-round-trip bit-exactly through encode → decode (floats travel as raw IEEE
-doubles, so equality is ``==``-on-bits, not approximate), at *any* chunk
-boundaries, interleaved freely with JSON control frames on the same
-decoder; truncated, corrupted and untagged v2 bodies raise
-:class:`ServingError` instead of yielding garbage.  The golden replay
-through the socket lives in ``test_frontend.py``.
+Two layers:
+
+* **sans-IO codec** (hypothesis over the :mod:`repro.serving.wire` batch
+  encoders): arbitrary batches of quotes / results / feedback events
+  round-trip bit-exactly through encode → decode (floats travel as raw
+  IEEE doubles, so equality is ``==``-on-bits, not approximate), at *any*
+  chunk boundaries, interleaved freely with JSON control frames on the
+  same decoder; truncated, corrupted and untagged v2 bodies raise
+  :class:`ServingError` instead of yielding garbage.
+* **golden replay**: all 8 golden families replayed closed-loop through
+  the v2 socket path are bit-identical to the offline engine in all nine
+  columns — through the blocking face of the client on a unix socket, and
+  through the async core over TCP loopback against a time-window
+  micro-batcher.  The unix-socket replay through the async core lives in
+  ``test_async_client.py``, the one through a shard in ``test_frontend.py``.
 
 Profiles: CI runs with ``HYPOTHESIS_PROFILE=ci`` (few examples, no
 deadline) so the property sweep cannot flake a shared runner on timing.
 """
 
+import asyncio
 import os
 import struct
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "golden"))
+import golden_specs
+
+from repro.engine import prepare, simulate
+from repro.engine.equivalence import assert_bit_exact
+from repro.engine.streaming import stream_rounds
+from repro.engine.transcript import Transcript
 from repro.exceptions import ServingError
-from repro.serving import WIRE_V2, FrameDecoder
+from repro.serving import (
+    WIRE_V2,
+    AsyncQuoteClient,
+    FrameDecoder,
+    MicroBatchConfig,
+    PricerRegistry,
+    QuoteService,
+    QuoteSocketClient,
+    SessionKey,
+    serve_closed_loop_async,
+    start_frontend_thread,
+)
+from repro.serving.client import settle_frame_into_transcript
 from repro.serving.wire import (
     FRAME_HEADER,
     V2_HEADER,
@@ -312,3 +340,83 @@ def test_untagged_items_neither_encode_nor_decode(encode, item):
     frame[offset] &= 0xFE
     with pytest.raises(ServingError, match="tag"):
         FrameDecoder().feed(bytes(frame))
+
+
+# --------------------------------------------------------------------------- #
+# Golden replay through the v2 socket path
+# --------------------------------------------------------------------------- #
+
+
+def _offline(family):
+    model, batch, theta = golden_specs.build_market(family)
+    materialized = prepare(model, batch)
+    result = simulate(
+        model, golden_specs.build_pricer(family, theta), materialized=materialized
+    )
+    return model, theta, materialized, result
+
+
+def _service(family, model, theta, config):
+    return QuoteService(
+        PricerRegistry(lambda _key: (model, golden_specs.build_pricer(family, theta))),
+        config=config,
+    )
+
+
+def _replay_blocking(client, key, materialized):
+    """The closed loop of :func:`serve_closed_loop_async`, one blocking
+    call per quote and per feedback."""
+    transcript = Transcript.for_materialized(materialized)
+    for round_ in stream_rounds(materialized):
+        result = client.quote(key, round_.features, reserve=round_.reserve)
+        sold = settle_frame_into_transcript(
+            transcript, round_.index, result, round_.market_value
+        )
+        client.feedback(key, result["quote_id"], sold)
+    transcript.finalize_regrets()
+    return transcript
+
+
+@pytest.mark.parametrize("family", sorted(golden_specs.GOLDEN_SPECS))
+def test_golden_families_bit_identical_through_v2_sync_client(tmp_path, family):
+    """The blocking face runs the async core on a private event loop; the
+    replay through it is bit-identical too."""
+    model, theta, materialized, offline = _offline(family)
+    key = SessionKey(app="golden", segment=family)
+    handle = start_frontend_thread(
+        _service(family, model, theta, MicroBatchConfig(max_batch=1, max_wait_seconds=0.0)),
+        unix_path=str(tmp_path / "v2sync.sock"),
+        drain_interval=0.0005,
+    )
+    try:
+        with QuoteSocketClient(unix_path=handle.address) as client:
+            online = _replay_blocking(client, key, materialized)
+    finally:
+        handle.stop()
+    assert_bit_exact(online, offline.transcript, family)
+
+
+@pytest.mark.parametrize("family", sorted(golden_specs.GOLDEN_SPECS))
+def test_golden_families_bit_identical_through_v2_async_client(family):
+    """TCP loopback, and a service that drains on its time window
+    (``max_wait_seconds``) rather than per request: neither the transport
+    nor the drain cadence moves a bit."""
+    model, theta, materialized, offline = _offline(family)
+    key = SessionKey(app="golden", segment=family)
+    handle = start_frontend_thread(
+        _service(family, model, theta, MicroBatchConfig(max_batch=8, max_wait_seconds=0.0005)),
+        host="127.0.0.1",
+        port=0,
+        drain_interval=0.0005,
+    )
+
+    async def _replay():
+        host, port = handle.address[0], handle.address[1]
+        async with await AsyncQuoteClient.connect(host=host, port=port) as client:
+            return await serve_closed_loop_async(client, key, materialized)
+
+    try:
+        online = asyncio.run(_replay())
+    finally:
+        handle.stop()
+    assert_bit_exact(online.transcript, offline.transcript, family)
