@@ -368,7 +368,11 @@ def run_networked_point(args, materialized, keys, factory, target_qps):
     out and one coalesced frame back, and completions never throttle the
     arrival process.  Backpressure rejections are counted, not retried — an
     overloaded frontend sheds load instead of queueing unboundedly, and the
-    achieved qps shows it.
+    achieved qps shows it.  Achieved qps is settled quotes over the time
+    from the first submit to the last settle, so it reads below offered by
+    about the last round trip over the window even when the socket keeps
+    up: tens of milliseconds against a window of ``--rate-rounds`` times
+    the session count over the offered rate.
     """
     rate_rounds = args.rate_rounds or args.rounds
     if rate_rounds > args.rounds:

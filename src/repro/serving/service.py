@@ -37,6 +37,7 @@ includes queueing delay inside the window) and aggregated by the shared
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
@@ -466,12 +467,20 @@ class QuoteService:
             self._emit(session, request, decision)
 
     def _emit(self, session: PricingSession, request: QuoteRequest, decision) -> None:
-        """Record one decision: pending entry, latency sample, response."""
+        """Record one decision: pending entry, latency sample, response.
+
+        A price that is not finite fails the quote before anything is
+        recorded: no cut can settle it (its offset must be finite).  The
+        ellipsoid pricer prices at -inf when ``x^T A x`` overflows, where
+        the offline engine raises at that round's cut.
+        """
         if decision.skipped or decision.price is None:
             link_price = None
             posted_price = None
         else:
             link_price = float(decision.price)
+            if not math.isfinite(link_price):
+                raise ValueError("price must be finite, got %r" % link_price)
             posted_price = session.model.link(link_price)
         session.pending[request.quote_id] = decision
         session.quotes_served += 1

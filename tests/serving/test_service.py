@@ -247,6 +247,31 @@ def test_drain_failure_requeues_untouched_groups_and_names_lost_quotes():
     assert [r.quote_id for r in service.poll()] == [ids[3], ids[4]]
 
 
+def test_a_quote_priced_at_minus_inf_fails_instead_of_posting():
+    """``x^T A x`` overflows on the radius-4 ball, so the ellipsoid pricer's
+    midpoint is NaN and its price -inf, which no feedback can settle (the
+    offline engine raises at that round's cut): the quote fails with its id
+    named and nothing pending, and the session serves on."""
+    theta = np.array([1.1, 0.7, 0.4, 0.9])
+    service = QuoteService(
+        PricerRegistry(
+            lambda key: (LinearModel(theta), make_pricer(dimension=4, radius=4.0, epsilon=0.05))
+        ),
+        config=MicroBatchConfig(max_batch=1, max_wait_seconds=0.0),
+    )
+    key = SessionKey("app", "overflow")
+    lost = service.submit(QuoteRequest(key=key, features=np.array([0.0, 0.0, 0.0, 2.04e154])))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ServingError, match="price must be finite, got -inf") as excinfo:
+            service.flush()
+    assert excinfo.value.lost_quote_ids == [lost]
+    assert service.registry.session(key).pending == {}
+    served = service.submit(QuoteRequest(key=key, features=np.array([0.1, 0.2, 0.3, 0.4])))
+    (response,) = service.flush()
+    assert response.quote_id == served and np.isfinite(response.posted_price)
+    assert service.feedback_many([FeedbackEvent(key, served, True)]) == [None]
+
+
 class ThrowingLinkModel(LinearModel):
     """A value model whose link translation blows up on the N-th call."""
 
