@@ -30,7 +30,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.ellipsoid import _DEGENERATE_GAIN, Ellipsoid
+from repro.core.ellipsoid import Ellipsoid
 from repro.exceptions import InvalidCutError
 from repro.utils.validation import ensure_finite_scalar, ensure_vector
 
@@ -91,17 +91,18 @@ def cut_position(ellipsoid: Ellipsoid, direction, offset: float, keep: str) -> f
     """
     direction = ensure_vector(direction, dimension=ellipsoid.dimension, name="direction")
     offset = ensure_finite_scalar(offset, name="offset")
-    gain = ellipsoid._gain(direction)
-    if not gain >= _DEGENERATE_GAIN:
-        # ``not >=`` also catches NaN.  A denormal positive gain would pass a
-        # plain ``> 0`` check and then overflow ``1 / sqrt(gain)``, emitting
-        # garbage or NaN cut parameters downstream.
+    middle, root = ellipsoid._projection(direction)
+    if not root > 0.0:
+        # A zero, denormal or NaN ``x^T A x`` has a zero half-width: a
+        # denormal positive gain would pass a plain ``> 0`` check and then
+        # overflow ``1 / sqrt(gain)``, emitting garbage cut parameters.
         raise InvalidCutError(
-            "cut direction has a degenerate support width (x^T A x = %g)" % gain
+            "cut direction has a degenerate support width (x^T A x = %g)"
+            % ellipsoid._gain(direction)
         )
     if keep not in ("leq", "geq"):
         raise ValueError("keep must be 'leq' or 'geq', got %r" % keep)
-    return _position(ellipsoid, direction, offset, _sign(keep), math.sqrt(gain))
+    return _position(middle, offset, _sign(keep), root)
 
 
 def _sign(keep: str) -> float:
@@ -109,11 +110,9 @@ def _sign(keep: str) -> float:
     return 1.0 if keep == "leq" else -1.0
 
 
-def _position(
-    ellipsoid: Ellipsoid, direction: np.ndarray, offset: float, sign: float, root: float
-) -> float:
-    """:func:`cut_position` on checked inputs, with ``root = sqrt(x^T A x)``."""
-    signed = (float(direction @ ellipsoid.center) - offset) / root
+def _position(middle: float, offset: float, sign: float, root: float) -> float:
+    """:func:`cut_position` from ``middle = x^T c`` and ``root = sqrt(x^T A x)``."""
+    signed = (middle - offset) / root
     return signed if sign > 0.0 else -signed
 
 
@@ -167,7 +166,8 @@ def loewner_john_cut(
         raise ValueError("keep must be 'leq' or 'geq', got %r" % keep)
     offset = ensure_finite_scalar(offset, name="offset")
     sign = _sign(keep)
-    alpha, updated = _cut(ellipsoid, direction, offset, sign)
+    middle, root = ellipsoid._projection(direction)
+    alpha, updated = _cut(ellipsoid, direction, offset, sign, middle, root)
     if updated is not None:
         return CutResult(
             ellipsoid=updated, alpha=alpha, kind=classify_alpha(alpha, dimension), updated=True
@@ -185,35 +185,38 @@ def loewner_john_cut(
                 "cut with alpha=%.6g > 1 would leave an empty region" % alpha
             )
     elif on_infeasible == "clamp" and alpha > 1.0:
-        boundary = ellipsoid._boundary(direction, math.sqrt(ellipsoid._gain(direction)))
+        boundary = ellipsoid._boundary(direction, root)
         collapsed = _apply_cut_formulas(ellipsoid, boundary, 1.0, sign)
         return CutResult(ellipsoid=collapsed, alpha=1.0, kind=CutKind.DEEP, updated=True)
     return CutResult(ellipsoid=ellipsoid, alpha=alpha, kind=CutKind.NOOP, updated=False)
 
 
 def _cut(
-    ellipsoid: Ellipsoid, direction: np.ndarray, offset: float, sign: float
+    ellipsoid: Ellipsoid,
+    direction: np.ndarray,
+    offset: float,
+    sign: float,
+    middle: float,
+    root: float,
 ) -> Tuple[float, Optional[Ellipsoid]]:
     """The Löwner–John cut on checked inputs, in :func:`loewner_john_cut`'s
     ``'skip'`` mode.
 
     ``direction`` is a finite length-``n`` float vector, ``offset`` a finite
     float and ``sign`` ``+1.0`` to keep ``{x^T θ <= offset}`` or ``-1.0`` to
-    keep ``{x^T θ >= offset}``.  Returns the position parameter and the cut
-    ellipsoid, or ``None`` in its place when the cut leaves the ellipsoid as
-    it is: a degenerate direction (``α`` is then NaN), an empty kept region
-    (``α > 1``) or a cut below ``-1/n``.  ``x^T A x`` is computed once and
-    shared by ``α`` and the boundary vector.
+    keep ``{x^T θ >= offset}``.  ``middle`` and ``root`` are ``x^T c`` and
+    ``sqrt(x^T A x)`` as :meth:`Ellipsoid._projection` computes them (the
+    pricers have them from the round's support interval).  Returns the
+    position parameter and the cut ellipsoid, or ``None`` in its place when
+    the cut leaves the ellipsoid as it is: a degenerate direction (``α`` is
+    then NaN), an empty kept region (``α > 1``) or a cut below ``-1/n``.
     """
-    gain = ellipsoid._gain(direction)
-    if not gain >= _DEGENERATE_GAIN:
-        # Degenerate direction: zero, denormal, or NaN support width.  The
-        # ellipsoid carries no information along such a direction, so the cut
-        # is a no-op rather than a division by ~0 that would emit NaN cut
-        # parameters.
+    if not root > 0.0:
+        # Degenerate direction: a zero, denormal or NaN ``x^T A x``.  The
+        # ellipsoid carries no information along it, so the cut is a no-op
+        # rather than a division by ~0 that would emit NaN cut parameters.
         return math.nan, None
-    root = math.sqrt(gain)
-    alpha = _position(ellipsoid, direction, offset, sign, root)
+    alpha = _position(middle, offset, sign, root)
     if alpha > 1.0 + _ALPHA_TOLERANCE:
         return alpha, None
     if alpha < -1.0 / ellipsoid.dimension - _ALPHA_TOLERANCE:

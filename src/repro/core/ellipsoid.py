@@ -223,30 +223,42 @@ class Ellipsoid:
         """``b = A x / root`` with ``root = sqrt(x^T A x)``, unchecked."""
         return (self.shape @ direction) / root
 
-    def _support(self, direction: np.ndarray) -> Tuple[float, float]:
-        """:meth:`support_interval`, unchecked."""
+    def _projection(self, direction: np.ndarray) -> Tuple[float, float]:
+        """``(x^T c, sqrt(x^T A x))``: the middle and the half-width of the
+        support interval, unchecked.  The Löwner–John cut takes both.
+
+        Numerical noise can make ``x^T A x`` a tiny negative value for a PSD
+        matrix, and a zero or denormal direction a degenerate one; every
+        ``x^T A x`` below the smallest normal double (NaN included) gives an
+        exactly-zero half-width.
+        """
         gain = self._gain(direction)
         if not gain >= _DEGENERATE_GAIN:
-            # Numerical noise can produce a tiny negative value for a PSD
-            # matrix, and a zero/denormal direction a degenerate width; both
-            # collapse to an exactly-zero support width.
             gain = 0.0
-        half_width = math.sqrt(gain)
-        middle = float(direction @ self.center)
+        return float(direction @ self.center), math.sqrt(gain)
+
+    def _support(self, direction: np.ndarray) -> Tuple[float, float]:
+        """:meth:`support_interval`, unchecked."""
+        middle, half_width = self._projection(direction)
         return middle - half_width, middle + half_width
 
-    def support_intervals(self, features: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`support_interval` along every row of a ``(rounds, n)`` block.
+    def _projections(self, features: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`_projection` along every row of a ``(rounds, n)`` block.
 
-        Rounds exactly like the scalar method row by row: ``x^T A x`` is one
+        Rounds exactly like the scalar kernel row by row: ``x^T A x`` is one
         gemv and one dot per row and ``x^T c`` one dot per row, through
-        stacked matmuls (a gemm over the block rounds differently).  Nothing
-        is validated; ``features`` must be a finite float matrix.
+        stacked matmuls (a gemm over the block rounds differently).
         """
         gains = row_dots(np.matmul(features[:, None, :], self.shape)[:, 0, :], features)
         gains = np.where(gains >= _DEGENERATE_GAIN, gains, 0.0)
-        half_widths = np.sqrt(gains)
-        middles = row_dots(features, self.center)
+        return row_dots(features, self.center), np.sqrt(gains)
+
+    def support_intervals(self, features: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`support_interval` along every row of a ``(rounds, n)`` block,
+        rounded like the scalar method row by row.  Nothing is validated;
+        ``features`` must be a finite float matrix.
+        """
+        middles, half_widths = self._projections(features)
         return middles - half_widths, middles + half_widths
 
     def width_along(self, direction) -> float:

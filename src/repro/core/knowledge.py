@@ -206,11 +206,15 @@ class EllipsoidKnowledge(KnowledgeSet):
             self.cut_count += 1
         return result.updated
 
-    def _cut(self, direction: np.ndarray, offset: float, sign: float) -> bool:
+    def _cut(
+        self, direction: np.ndarray, offset: float, sign: float, middle: float, root: float
+    ) -> bool:
         """:meth:`cut` in its default ``'skip'`` mode, for a finite length-n
         float ``direction`` and a finite ``offset`` its caller has checked;
-        ``sign`` is ``+1.0`` for ``keep='leq'`` and ``-1.0`` for ``'geq'``."""
-        updated = _cut(self.ellipsoid, direction, offset, sign)[1]
+        ``sign`` is ``+1.0`` for ``keep='leq'`` and ``-1.0`` for ``'geq'``,
+        and ``middle, root`` is the direction's :meth:`Ellipsoid._projection`
+        on the current ellipsoid."""
+        updated = _cut(self.ellipsoid, direction, offset, sign, middle, root)[1]
         if updated is None:
             return False
         self.ellipsoid = updated

@@ -157,36 +157,14 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
     def propose(self, features, reserve: Optional[float] = None) -> PricingDecision:
         """Lines 2–13 / 22–27 of Algorithms 1 and 2: choose the posted price."""
         features = ensure_vector(features, dimension=self.config.dimension, name="features")
-        effective_reserve = self._effective_reserve(reserve)
         lower, upper = self.knowledge._bounds(features)
-        delta = self.config.delta
-
-        if effective_reserve >= upper + delta:
-            # Certain no deal: any admissible price exceeds the maximum
-            # possible market value (Lines 8-10).
+        price, exploratory = self._decide(lower, upper, self._effective_reserve(reserve))
+        if price is None:
             self.skipped_rounds += 1
-            self._next_round()
-            return PricingDecision(
-                features=features,
-                reserve=reserve if self.config.use_reserve else None,
-                lower_bound=lower,
-                upper_bound=upper,
-                price=None,
-                exploratory=False,
-                skipped=True,
-                round_index=self.rounds_seen - 1,
-            )
-
-        width = upper - lower
-        if width > self.config.epsilon:
-            price = max(effective_reserve, 0.5 * (lower + upper))
-            exploratory = True
+        elif exploratory:
             self.exploratory_rounds += 1
         else:
-            price = max(effective_reserve, lower - delta)
-            exploratory = False
             self.conservative_rounds += 1
-
         self._next_round()
         return PricingDecision(
             features=features,
@@ -195,9 +173,29 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
             upper_bound=upper,
             price=price,
             exploratory=exploratory,
-            skipped=False,
+            skipped=price is None,
             round_index=self.rounds_seen - 1,
         )
+
+    def _decide(self, lower: float, upper: float, reserve: float) -> Tuple[Optional[float], bool]:
+        """Lines 8–13 of Algorithms 1 and 2 on one round's floats.
+
+        Returns the link price (``None`` when the round is skipped) and
+        whether it is exploratory; ``reserve`` is the effective reserve,
+        ``-inf`` for none.  Python's ``max(reserve, anchor)`` is ``anchor if
+        anchor > reserve else reserve``, which :meth:`run_batch` writes in
+        array form as ``np.where(anchor > reserve, anchor, reserve)``.
+        """
+        delta = self.config.delta
+        if reserve >= upper + delta:
+            # Certain no deal: any admissible price exceeds the maximum
+            # possible market value (Lines 8-10).
+            return None, False
+        if upper - lower > self.config.epsilon:
+            anchor, exploratory = 0.5 * (lower + upper), True
+        else:
+            anchor, exploratory = lower - delta, False
+        return (anchor if anchor > reserve else reserve), exploratory
 
     def update(self, decision: PricingDecision, accepted: bool) -> None:
         """Lines 14–21 of Algorithms 1 and 2: refine the knowledge set."""
@@ -236,22 +234,33 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
     _BLOCK_MAX = 4096
 
     def run_batch(self, model, materialized, transcript) -> bool:
-        """Run a whole horizon in blocks of rounds between knowledge cuts.
+        """Run a whole horizon, walking it in blocks of rounds between cuts.
 
         The ellipsoid changes only on applied cuts, so between two of them a
-        block of rounds is decided in array passes: support intervals
-        (:meth:`Ellipsoid.support_intervals`, which round like the scalar
-        products of :meth:`propose`), skip and exploratory flags and prices.
-        The first cut candidate that changes the ellipsoid goes through the
-        unchecked :meth:`EllipsoidKnowledge._cut` (the features were checked
-        once, here); the block's rows up to it are copied into horizon-length
-        columns and the walk restarts after it.  Posted prices, sales and the
-        counters are computed once, over the whole horizon, at the end.
-        Every expression is that of :meth:`propose`/:meth:`update` (Python's
+        block of rounds is priced in array passes
+        (:meth:`Ellipsoid._projections`, which round like the scalar kernel
+        of :meth:`propose`): its support intervals go into horizon-length
+        columns, and it marks its cut candidates, the rounds that are not
+        skipped and are wider than ``ε`` (any active round under the
+        ablation) and than :meth:`update`'s 1e-12.  Each candidate in turn is
+        priced on its own floats by :meth:`_decide`, the decision of
+        :meth:`propose`, and cut through the unchecked
+        :meth:`EllipsoidKnowledge._cut` with the ``x^T c`` and
+        ``sqrt(x^T A x)`` its interval came from (the features were checked
+        once, here).  The first cut that changes the ellipsoid ends the
+        block; the walk restarts after it, and the next block prices the
+        rows past it again.  After a cut the next block is twice the rows
+        since the previous cut; it doubles over cut-free blocks up to
+        :attr:`_BLOCK_MAX`.  A block of two rows or fewer (the first round,
+        and the round after two back-to-back cuts) prices one round through
+        the scalar kernel instead.
+
+        Skip and exploratory flags, prices, sales and the counters are then
+        computed once, over the whole horizon, from the interval columns,
+        where each row holds the interval of the block that kept it.  Every
+        expression is that of :meth:`propose`/:meth:`update` (Python's
         ``max(a, b)`` is ``np.where(b > a, b, a)``, signed zeros included),
         so transcripts and counters are bit-identical to the sequential loop.
-        After a cut the next block is twice the rows since the previous cut;
-        it doubles over cut-free blocks up to :attr:`_BLOCK_MAX`.
 
         Polytope knowledge returns ``False``: the engine's loop then drives
         :meth:`propose`/:meth:`update`.  So does a market with non-finite
@@ -268,8 +277,6 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
         if not np.all(np.isfinite(features)):
             return False
         delta = config.delta
-        epsilon = config.epsilon
-        allow_conservative_cuts = config.allow_conservative_cuts
         identity_link = getattr(model, "link_is_identity", False)
         market_values = materialized.market_values
         rounds = features.shape[0]
@@ -280,55 +287,71 @@ class EllipsoidPricer(KnowledgePricerStateMixin, PostedPriceMechanism):
             effective_reserves = np.where(np.isnan(reserves), _NEGATIVE_INFINITY, reserves)
         else:
             effective_reserves = np.full(rounds, _NEGATIVE_INFINITY)
+        # Conservative rounds cut only in the ablation, and update cuts no
+        # round of width 1e-12 or less: (w > a) & (w > b) is w > max(a, b).
+        threshold = 1e-12 if config.allow_conservative_cuts else max(config.epsilon, 1e-12)
 
-        # The committed decisions; the flags go straight to the transcript.
-        prices = np.empty(rounds)
-        skipped = transcript.skipped
-        exploratory = transcript.exploratory
+        def cut(index: int, lower: float, upper: float, middle: float, root: float) -> bool:
+            """Price candidate ``index`` as propose does and cut as update does."""
+            link_price = self._decide(lower, upper, float(effective_reserves[index]))[0]
+            posted = link_price if identity_link else model.link(link_price)
+            if posted <= market_values[index]:
+                offset, sign = link_price - delta, -1.0  # keep 'geq'
+            else:
+                offset, sign = link_price + delta, 1.0  # keep 'leq'
+            # The offset is checked as update's cut checks it.
+            offset = ensure_finite_scalar(offset, name="offset")
+            return knowledge._cut(features[index], offset, sign, middle, root)
+
+        lower = np.empty(rounds)
+        upper = np.empty(rounds)
         cuts_applied = 0
         start = previous_cut = 0
         block_size = 1
         while start < rounds:
             stop = min(rounds, start + block_size)
-            block = features[start:stop]
-            lower, upper = knowledge.ellipsoid.support_intervals(block)
-            reserve = effective_reserves[start:stop]
-            block_skipped = reserve >= upper + delta
-            active = ~block_skipped
-            width = upper - lower
-            block_exploratory = active & (width > epsilon)
-            anchor = np.where(block_exploratory, 0.5 * (lower + upper), lower - delta)
-            price = np.where(anchor > reserve, anchor, reserve)
-            # Conservative rounds cut only in the ablation; exploratory rounds
-            # are active ones, so either way a candidate is an active round.
-            candidates = (active if allow_conservative_cuts else block_exploratory) & (width > 1e-12)
-
-            limit = stop - start
             block_size = min(2 * block_size, self._BLOCK_MAX)
-            for index in candidates.nonzero()[0]:
-                link_price = float(price[index])
-                posted = link_price if identity_link else model.link(link_price)
-                if posted <= market_values[start + index]:
-                    offset, sign = link_price - delta, -1.0  # keep 'geq'
-                else:
-                    offset, sign = link_price + delta, 1.0  # keep 'leq'
-                # The features were checked once, above; the offset is checked
-                # here, as update's cut checks it.
-                offset = ensure_finite_scalar(offset, name="offset")
-                if knowledge._cut(block[index], offset, sign):
-                    cuts_applied += 1
-                    limit = index + 1
-                    block_size = min(2 * (start + limit - previous_cut), self._BLOCK_MAX)
-                    previous_cut = start + limit
-                    break
+            cut_at = -1
+            if stop - start <= 2:
+                # One round through the scalar kernel: three BLAS calls
+                # instead of a block's twenty array calls.
+                stop = start + 1
+                middle, root = knowledge.ellipsoid._projection(features[start])
+                low = lower[start] = middle - root
+                high = upper[start] = middle + root
+                reserve = float(effective_reserves[start])
+                if not reserve >= high + delta and high - low > threshold:
+                    if cut(start, low, high, middle, root):
+                        cut_at = start
+            else:
+                middles, roots = knowledge.ellipsoid._projections(features[start:stop])
+                low = np.subtract(middles, roots, out=lower[start:stop])
+                high = np.add(middles, roots, out=upper[start:stop])
+                candidates = ~(effective_reserves[start:stop] >= high + delta)
+                candidates &= high - low > threshold
+                for index in candidates.nonzero()[0]:
+                    if cut(
+                        start + index,
+                        float(low[index]),
+                        float(high[index]),
+                        float(middles[index]),
+                        float(roots[index]),
+                    ):
+                        cut_at = start + index
+                        break
+            if cut_at < 0:
+                start = stop
+            else:
+                cuts_applied += 1
+                start = cut_at + 1
+                block_size = min(2 * (start - previous_cut), self._BLOCK_MAX)
+                previous_cut = start
 
-            end = start + limit
-            prices[start:end] = price[:limit]
-            skipped[start:end] = block_skipped[:limit]
-            exploratory[start:end] = block_exploratory[:limit]
-            start = end
-
+        skipped = np.greater_equal(effective_reserves, upper + delta, out=transcript.skipped)
         live = ~skipped
+        exploratory = np.logical_and(live, upper - lower > config.epsilon, out=transcript.exploratory)
+        anchors = np.where(exploratory, 0.5 * (lower + upper), lower - delta)
+        prices = np.where(anchors > effective_reserves, anchors, effective_reserves)
         posted = prices if identity_link else model.link_batch(np.where(live, prices, np.nan))
         np.copyto(transcript.link_prices, prices, where=live)
         np.copyto(transcript.posted_prices, posted, where=live)

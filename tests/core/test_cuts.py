@@ -358,7 +358,10 @@ def test_the_kernel_matches_the_six_pass_formula_bit_for_bit(dimension, cuts):
             assert oracle is not None
             result = loewner_john_cut(ellipsoid, direction, offset, keep, on_infeasible="skip")
             _assert_same_bits(result, oracle)
-            assert knowledge._cut(direction, offset, 1.0 if keep == "leq" else -1.0)
+            # The engine's walk passes the projection its block computed.
+            middles, roots = knowledge.ellipsoid._projections(direction[None, :])
+            sign = 1.0 if keep == "leq" else -1.0
+            assert knowledge._cut(direction, offset, sign, float(middles[0]), float(roots[0]))
             assert knowledge.ellipsoid == result.ellipsoid
             kinds_seen.add(result.kind)
             ellipsoid = result.ellipsoid

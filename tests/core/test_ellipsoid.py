@@ -165,7 +165,8 @@ class TestMisc:
 
 class TestSupportIntervals:
     def test_block_matches_scalar_support(self):
-        """The block support intervals equal the scalar ones bit for bit,
+        """The block support intervals, and the ``x^T c`` and
+        ``sqrt(x^T A x)`` they come from, equal the scalar ones bit for bit,
         for C- and Fortran-ordered blocks (rows round by stride)."""
         ellipsoid = random_ellipsoid(5, seed=3)
         rng = np.random.default_rng(3)
@@ -177,6 +178,10 @@ class TestSupportIntervals:
             expected = np.array([ellipsoid.support_interval(row) for row in features])
             np.testing.assert_array_equal(lowers, expected[:, 0])
             np.testing.assert_array_equal(uppers, expected[:, 1])
+            middles, roots = ellipsoid._projections(features)
+            expected = np.array([ellipsoid._projection(row) for row in features])
+            np.testing.assert_array_equal(middles, expected[:, 0])
+            np.testing.assert_array_equal(roots, expected[:, 1])
 
     def test_degenerate_direction_zero_width(self):
         ellipsoid = random_ellipsoid(3, seed=8)

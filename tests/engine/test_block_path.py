@@ -59,6 +59,28 @@ def _compare(model, build, batch, **simulate_options):
     return reference_pricer, reference.transcript
 
 
+def _walk(monkeypatch, model, pricer, batch):
+    """Run the block path alone; return the rows of each block it priced and
+    the number of rounds it priced one at a time through the scalar kernel
+    (no other code of the block path calls it)."""
+    blocks, lane = [], []
+    projections, projection = Ellipsoid._projections, Ellipsoid._projection
+
+    def block(ellipsoid, features):
+        blocks.append(len(features))
+        return projections(ellipsoid, features)
+
+    def one_round(ellipsoid, direction):
+        lane.append(1)
+        return projection(ellipsoid, direction)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Ellipsoid, "_projections", block)
+        patch.setattr(Ellipsoid, "_projection", one_round)
+        simulate(model, pricer, arrivals=batch)
+    return blocks, len(lane)
+
+
 @pytest.mark.parametrize("use_reserve", [True, False], ids=["reserve", "no-reserve"])
 @pytest.mark.parametrize("delta", [0.0, 0.01], ids=["delta=0", "delta=0.01"])
 def test_versions_over_a_horizon_past_twice_the_block_cap(use_reserve, delta, monkeypatch):
@@ -66,19 +88,11 @@ def test_versions_over_a_horizon_past_twice_the_block_cap(use_reserve, delta, mo
     doubles from twice the rows between the last two cuts to the cap, and
     the walk ends in two cut-free blocks at the cap and a partial last
     block."""
-    block_sizes = []
-    support_intervals = Ellipsoid.support_intervals
-
-    def recording(ellipsoid, features):
-        block_sizes.append(len(features))
-        return support_intervals(ellipsoid, features)
-
-    monkeypatch.setattr(Ellipsoid, "support_intervals", recording)
     model, batch = _market(LinearModel, 3, 4 * BLOCK_MAX + 1500, seed=11)
     epsilon = 0.05 + 4 * 3 * delta
-    pricer, _ = _compare(
-        model, _pricer(3, epsilon=epsilon, delta=delta, use_reserve=use_reserve), batch
-    )
+    build = _pricer(3, epsilon=epsilon, delta=delta, use_reserve=use_reserve)
+    block_sizes, _ = _walk(monkeypatch, model, build(), batch)
+    pricer, _ = _compare(model, build, batch)
     assert pricer.cuts_applied > 10
     assert block_sizes[-3:-1] == [BLOCK_MAX, BLOCK_MAX]
     assert 0 < block_sizes[-1] < BLOCK_MAX
@@ -86,21 +100,48 @@ def test_versions_over_a_horizon_past_twice_the_block_cap(use_reserve, delta, mo
 
 def test_a_cut_on_every_round_prices_few_rows_past_each_cut(monkeypatch):
     """The pure version with a tiny epsilon explores and cuts on every round.
-    The block after a cut is twice the rows since the previous cut, so the
-    rows priced past the cuts and thrown away stay in proportion to the rows
-    kept instead of costing a long block of gemvs per cut."""
-    rows_priced = []
-    support_intervals = Ellipsoid.support_intervals
-
-    def recording(ellipsoid, features):
-        rows_priced.append(len(features))
-        return support_intervals(ellipsoid, features)
-
-    monkeypatch.setattr(Ellipsoid, "support_intervals", recording)
+    Every block would then hold at most two rows, the round after a cut
+    and one past it, so every round is priced alone through the scalar
+    kernel and no row is priced past a cut."""
     model, batch = _market(LinearModel, 6, 500, seed=19)
-    pricer, _ = _compare(model, _pricer(6, epsilon=1e-9, use_reserve=False), batch)
+    build = _pricer(6, epsilon=1e-9, use_reserve=False)
+    block_sizes, lane_rounds = _walk(monkeypatch, model, build(), batch)
+    pricer, _ = _compare(model, build, batch)
     assert pricer.cuts_applied == pricer.exploratory_rounds == 500
-    assert sum(rows_priced) <= 2 * 500
+    assert lane_rounds == 500 and block_sizes == []
+    assert sum(block_sizes) + lane_rounds <= 2 * 500
+
+
+@pytest.mark.parametrize("model_type", [LinearModel, LogisticModel])
+@pytest.mark.parametrize("use_reserve", [True, False], ids=["reserve", "no-reserve"])
+@pytest.mark.parametrize("delta", [0.0, 0.01], ids=["delta=0", "delta=0.01"])
+@pytest.mark.parametrize(
+    "allow_conservative_cuts", [False, True], ids=["exploratory-cuts", "conservative-cuts"]
+)
+def test_back_to_back_cuts_then_a_cut_free_tail(
+    model_type, use_reserve, delta, allow_conservative_cuts, monkeypatch
+):
+    """Both lanes of the walk in one horizon.  Noiseless feedback with
+    ``ε >= 4nδ`` makes every exploratory round cut, so the walk starts with
+    a run of back-to-back cuts priced one round at a time.  Once the
+    ellipsoid is narrower than ``ε`` the rounds are conservative, and the
+    ablation's cuts at ``lower - δ`` keep the whole ellipsoid, so the last
+    ``2 * BLOCK_MAX`` rounds and more are cut-free and go in long blocks."""
+    rounds, head = 3 * BLOCK_MAX, 40
+    model, batch = _market(model_type, 3, rounds, seed=30, noise_sigma=0.0)
+    build = _pricer(
+        3,
+        epsilon=0.05 + 4 * 3 * delta,
+        delta=delta,
+        use_reserve=use_reserve,
+        allow_conservative_cuts=allow_conservative_cuts,
+    )
+    block_sizes, lane_rounds = _walk(monkeypatch, model, build(), batch)
+    pricer, transcript = _compare(model, build, batch)
+    explored = np.flatnonzero(transcript.exploratory)
+    assert np.array_equal(explored[:head], np.arange(head))
+    assert pricer.cuts_applied == explored.size and explored[-1] < rounds - 2 * BLOCK_MAX
+    assert lane_rounds >= head and BLOCK_MAX in block_sizes
 
 
 def test_every_round_cuts_at_n_1024():
